@@ -3,10 +3,14 @@
 A circuit is an ordered list of gates over n named lines. Each gate flips its
 target bit iff every control matches its polarity (positive = 1, negative = 0).
 
-Bit convention (used everywhere in this package): the line with index 0, i.e.
-the first declared line, is the MOST significant bit of a state integer. A
-permutation spec like (1,0,3,2,...) therefore reads with the first line as the
-high bit.
+Two bit conventions:
+
+- Gate masks: bit ``1 << line`` of ``Gate.pos``/``Gate.neg`` marks a positive
+  or negative control on that line, so a gate needs no circuit width.
+- State integers: the line with index 0, i.e. the first declared line, is the
+  MOST significant bit. A permutation spec like (1,0,3,2,...) therefore reads
+  with the first line as the high bit. ``_state_masks`` is the one place that
+  converts between the two.
 
 Gates are applied in list order: gates[0] acts first.
 """
@@ -14,8 +18,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Union
 
 # Hard cap on simulation width: permutations are materialized as 2^n arrays.
@@ -30,92 +32,68 @@ class WidthMismatchError(Exception):
     """Two circuits (or a circuit and a spec) disagree on width."""
 
 
-class Polarity(Enum):
-    POSITIVE = "+"
-    NEGATIVE = "-"
-
-    def toggled(self) -> "Polarity":
-        return Polarity.NEGATIVE if self is Polarity.POSITIVE else Polarity.POSITIVE
-
-    def __repr__(self) -> str:
-        return "POSITIVE" if self is Polarity.POSITIVE else "NEGATIVE"
-
-
-@dataclass(frozen=True)
-class Control:
-    line: int
-    polarity: Polarity = Polarity.POSITIVE
-
-    @property
-    def positive(self) -> bool:
-        return self.polarity is Polarity.POSITIVE
-
-
-ControlSpec = Union[int, tuple, Control]
-
-
-def _as_control(c: ControlSpec) -> Control:
-    if isinstance(c, Control):
-        return c
-    if isinstance(c, int):
-        return Control(c, Polarity.POSITIVE)
-    line, pos = c
-    if isinstance(pos, Polarity):
-        return Control(line, pos)
-    return Control(line, Polarity.POSITIVE if pos else Polarity.NEGATIVE)
-
-
 @dataclass(frozen=True)
 class Gate:
-    """One C^mNOT gate: a polarity-tagged control set plus a target line."""
+    """One C^mNOT gate: positive and negative control masks plus a target line."""
 
-    controls: frozenset[Control]
+    pos: int
+    neg: int
     target: int
 
     def __post_init__(self):
-        lines = [c.line for c in self.controls]
-        if len(set(lines)) != len(lines):
-            raise ValueError(f"gate controls reference a line twice: {sorted(lines)}")
-        if self.target in lines:
+        if min(self.pos, self.neg, self.target) < 0:
+            raise ValueError(f"gate references a negative line: {self}")
+        if self.pos & self.neg:
+            raise ValueError(f"gate controls reference a line twice: {self}")
+        if self.controls >> self.target & 1:
             raise ValueError(f"gate target {self.target} is also a control line")
 
     @property
-    def control_lines(self) -> frozenset[int]:
-        return frozenset(c.line for c in self.controls)
+    def controls(self) -> int:
+        """Mask of all control lines, either polarity."""
+        return self.pos | self.neg
 
     @property
     def arity(self) -> int:
         """Number of controls (m); 0 = NOT, 1 = CNOT, 2 = Toffoli."""
-        return len(self.controls)
+        return (self.pos | self.neg).bit_count()
 
-    def sorted_controls(self) -> list[Control]:
-        return sorted(self.controls, key=lambda c: c.line)
-
-    def with_toggled_control(self, line: int) -> "Gate":
-        """Copy of this gate with the polarity of the control on `line` flipped."""
-        ctrls = {c for c in self.controls if c.line != line}
-        old = next(c for c in self.controls if c.line == line)
-        ctrls.add(Control(line, old.polarity.toggled()))
-        return Gate(frozenset(ctrls), self.target)
-
-    def __repr__(self) -> str:
-        cs = ",".join(f"{c.line}{'' if c.positive else chr(39)}" for c in self.sorted_controls())
-        return f"Gate([{cs}];{self.target})"
+    def toggled(self, lines: int) -> "Gate":
+        """Copy of this gate with the polarity of the controls in `lines` flipped."""
+        return Gate(self.pos ^ lines, self.neg ^ lines, self.target)
 
 
-def mct(controls: Iterable[ControlSpec], target: int) -> Gate:
+# one control: a line (positive) or a (line, positive) pair
+LineSpec = Union[int, tuple[int, bool]]
+
+
+def mct(controls: Iterable[LineSpec], target: int) -> Gate:
     """Build a gate from loose control specs.
 
-    Each control may be an int (positive control on that line), a
-    (line, positive: bool) pair, a (line, Polarity) pair, or a Control.
+    Each control may be an int (positive control on that line) or a
+    (line, positive: bool) pair.
     """
-    return Gate(frozenset(_as_control(c) for c in controls), target)
+    pos = neg = 0
+    for c in controls:
+        line, positive = (c, True) if isinstance(c, int) else c
+        if positive:
+            pos |= 1 << line
+        else:
+            neg |= 1 << line
+    return Gate(pos, neg, target)
 
 
 def _default_names(n: int) -> tuple[str, ...]:
     if n <= 26:
         return tuple(string.ascii_lowercase[:n])
     return tuple(f"x{i}" for i in range(n))
+
+
+def _bad_name(name: str) -> bool:
+    # names that io.write_circuit could not write back in a form
+    # io.parse_circuit reads as the same name
+    return (not name or name != name.strip() or len(name.splitlines()) > 1
+            or "," in name or "#" in name or name.endswith("'"))
 
 
 @dataclass(frozen=True)
@@ -133,9 +111,12 @@ class Circuit:
             object.__setattr__(self, "names", _default_names(self.width))
         if len(self.names) != self.width or len(set(self.names)) != self.width:
             raise ValueError("line names must be unique, one per line")
+        if any(map(_bad_name, self.names)):
+            raise ValueError("line names must be one non-empty line without outer "
+                             "blanks, ',' or '#', and must not end in \"'\"")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if g.target >= self.width or any(c.line >= self.width for c in g.controls):
+            if (g.controls | 1 << g.target) >> self.width:
                 raise ValueError(f"gate {g} references a line outside width {self.width}")
 
     # -- builder helpers (return new circuits; handy in tests) --------------
@@ -146,10 +127,10 @@ class Circuit:
     def x(self, target: int) -> "Circuit":
         return self.append(mct([], target))
 
-    def cx(self, control: ControlSpec, target: int) -> "Circuit":
+    def cx(self, control: LineSpec, target: int) -> "Circuit":
         return self.append(mct([control], target))
 
-    def mcx(self, controls: Iterable[ControlSpec], target: int) -> "Circuit":
+    def mcx(self, controls: Iterable[LineSpec], target: int) -> "Circuit":
         return self.append(mct(controls, target))
 
     def with_gates(self, gates: Iterable[Gate]) -> "Circuit":
@@ -159,34 +140,26 @@ class Circuit:
         return len(self.gates)
 
 
-def line_bit(line: int, n: int) -> int:
-    """State-integer bitmask of a line index (line 0 = MSB)."""
-    return 1 << (n - 1 - line)
+def _reflect(mask: int, n: int) -> int:
+    """Mirror the low n bits of mask: bit i becomes bit n-1-i."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
 
 
-@lru_cache(maxsize=65536)
-def _gate_masks(g: Gate, n: int) -> tuple[int, int, int]:
-    pos = neg = 0
-    for c in g.controls:
-        if c.positive:
-            pos |= line_bit(c.line, n)
-        else:
-            neg |= line_bit(c.line, n)
-    return pos, neg, line_bit(g.target, n)
+def _state_masks(g: Gate, n: int) -> tuple[int, int, int]:
+    """The gate's (pos, neg, target) masks over width-n state integers."""
+    return _reflect(g.pos, n), _reflect(g.neg, n), 1 << (n - 1 - g.target)
 
 
 def gate_fires(g: Gate, state: int, n: int) -> bool:
     """True iff every positive control reads 1 and every negative control reads 0."""
-    pos, neg, _ = _gate_masks(g, n)
+    pos, neg, _ = _state_masks(g, n)
     return (state & pos) == pos and (state & neg) == 0
 
 
 def apply_gate(g: Gate, state: int, n: int) -> int:
     """Flip the target bit of `state` iff the gate fires. Self-inverse."""
-    pos, neg, tgt = _gate_masks(g, n)
-    if (state & pos) == pos and (state & neg) == 0:
-        return state ^ tgt
-    return state
+    pos, neg, tgt = _state_masks(g, n)
+    return state ^ tgt if (state & pos) == pos and (state & neg) == 0 else state
 
 
 def simulate(c: Circuit) -> tuple[int, ...]:
@@ -196,7 +169,7 @@ def simulate(c: Circuit) -> tuple[int, ...]:
         raise WidthLimitError(f"cannot simulate width {n} (limit {MAX_SIM_WIDTH})")
     states = list(range(1 << n))
     for g in c.gates:
-        pos, neg, tgt = _gate_masks(g, n)
+        pos, neg, tgt = _state_masks(g, n)
         states = [s ^ tgt if (s & pos) == pos and (s & neg) == 0 else s for s in states]
     return tuple(states)
 
@@ -222,9 +195,4 @@ def commutes(g1: Gate, g2: Gate) -> bool:
     Sufficient but not necessary for semantic commutation; kept syntactic on
     purpose (same-target runs are handled by the common-target pass).
     """
-    return g1.target not in g2.control_lines and g2.target not in g1.control_lines
-
-
-def same_function(g1: Gate, g2: Gate) -> bool:
-    """True iff same target and identical polarity-tagged control sets."""
-    return g1 == g2
+    return not (g2.controls >> g1.target & 1 or g1.controls >> g2.target & 1)

@@ -33,15 +33,9 @@ WIDE_BAND_ALL_NEGATIVE_SURCHARGE = 4
 MAXIMAL_ALL_NEGATIVE_SURCHARGE = 2
 
 
-def gate_cost(g: Gate, n: int) -> int:
-    """Elementary-gate count for one gate in a circuit of width n."""
-    m = g.arity
-    if m >= n:
-        raise ValueError(f"gate with {m} controls cannot fit a width-{n} circuit")
-    if g.target >= n or any(c.line >= n for c in g.controls):
-        raise ValueError(f"gate {g} references a line outside width {n}")
-    all_negative = m > 0 and not any(c.positive for c in g.controls)
-
+def mct_cost(m: int, all_negative: bool, n: int) -> int:
+    """Elementary-gate count for a gate with m controls in a circuit of width
+    n; all_negative says whether every control is negative (moot at m = 0)."""
     if m == 0:
         return NOT_COST
     if m == 1:
@@ -54,6 +48,16 @@ def gate_cost(g: Gate, n: int) -> int:
         return 12 * m - 22 + (LINEAR_BAND_ALL_NEGATIVE_SURCHARGE if all_negative else 0)
     # ceil(n/2) < m <= n-2
     return 24 * m - 40 + (WIDE_BAND_ALL_NEGATIVE_SURCHARGE if all_negative else 0)
+
+
+def gate_cost(g: Gate, n: int) -> int:
+    """Elementary-gate count for one gate in a circuit of width n."""
+    m = g.arity
+    if m >= n:
+        raise ValueError(f"gate with {m} controls cannot fit a width-{n} circuit")
+    if (g.controls | 1 << g.target) >> n:
+        raise ValueError(f"gate {g} references a line outside width {n}")
+    return mct_cost(m, g.pos == 0, n)
 
 
 def circuit_cost(c: Circuit) -> int:

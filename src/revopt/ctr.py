@@ -25,13 +25,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Circuit, Control, Gate, Polarity, commutes, mct
-from .cost import gate_cost
+from .core import Circuit, Gate, commutes, mct
+from .cost import gate_cost, mct_cost
 
-_FREE = None
 _WEIGHT_CUBE = 1 << 12   # cube-count tie-break field
 _WEIGHT_COST = 1 << 24   # cost field (dominant)
 _EXACT_HARD_CAP = 4      # 2^(2^v) residual-map table is infeasible past this
+
+#: How many gates past the end of a same-target run the moving rule looks for
+#: another gate on that target (also the reach of the pipeline's delete sweep).
+MOVE_LOOKAHEAD = 16
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class Window:
 
     target: int
     var_order: tuple[int, ...]       # the other n-1 lines, index order
-    gate_indices: tuple[int, int]    # [start, end) in the rearranged circuit
     gates: tuple[Gate, ...]
 
 
@@ -49,7 +51,7 @@ class Kmap:
     """Parity function over the 2^vars control-space cells.
 
     cells is a bitmask: bit i = value of cell i, where cell indices assign
-    var_order[0] the most significant bit.
+    var_order[0] the most significant bit (variable j is cell bit vars-1-j).
     """
 
     vars: int
@@ -58,29 +60,30 @@ class Kmap:
 
 @dataclass(frozen=True)
 class Cube:
-    """A subcube of the map: fixed vars pinned to polarities, the rest free.
+    """A subcube of the map: the variables set in `care` are pinned to their
+    bits in `value`, the rest are free.
 
-    Variables are positions into a window's var_order. Covers 2^(v-|fixed|)
-    cells.
+    Both masks use the cell convention of Kmap (variable j is bit v-1-j);
+    value has no bits outside care. Covers 2^(v-|care|) cells.
     """
 
-    literals: frozenset[tuple[int, Polarity]]
-
-    def __post_init__(self):
-        vs = [j for j, _ in self.literals]
-        if len(set(vs)) != len(vs):
-            raise ValueError("cube fixes a variable twice")
+    care: int
+    value: int
 
     @property
     def num_fixed(self) -> int:
-        return len(self.literals)
+        return self.care.bit_count()
 
     def mask(self, v: int) -> int:
         """Bitmask of covered cells in a v-variable map."""
-        m = (1 << (1 << v)) - 1
-        for j, pol in self.literals:
-            ones = _var_one_mask(v, j)
-            m &= ones if pol is Polarity.POSITIVE else ~ones & ((1 << (1 << v)) - 1)
+        full = (1 << (1 << v)) - 1
+        m = full
+        care = self.care
+        while care:
+            low = care & -care
+            ones = _bit_one_mask(v, low.bit_length() - 1)
+            m &= ones if self.value & low else full ^ ones
+            care ^= low
         return m
 
 
@@ -94,27 +97,18 @@ class Cover:
 
 
 @lru_cache(maxsize=None)
-def _var_one_mask(v: int, j: int) -> int:
+def _bit_one_mask(v: int, b: int) -> int:
+    """Cells of a v-variable map whose index has bit b set."""
     m = 0
     for cell in range(1 << v):
-        if (cell >> (v - 1 - j)) & 1:
+        if (cell >> b) & 1:
             m |= 1 << cell
     return m
 
 
-def _cube_gate_cost(m: int, all_negative: bool, n: int) -> int:
-    """Cost of the gate a cube emits: m controls in a width-n circuit."""
-    # mixes with >=1 positive cost the same as all-positive, so two probes cover it
-    pol = Polarity.NEGATIVE if all_negative else Polarity.POSITIVE
-    controls = [Control(i + 1, pol) for i in range(m)]
-    return gate_cost(Gate(frozenset(controls), 0), n)
-
-
 def cube_cost(cube: Cube, v: int) -> int:
     """Quantum cost of the gate this cube emits in a width v+1 circuit."""
-    m = cube.num_fixed
-    all_neg = m > 0 and all(pol is Polarity.NEGATIVE for _, pol in cube.literals)
-    return _cube_gate_cost(m, all_neg, v + 1)
+    return mct_cost(cube.care.bit_count(), cube.value == 0, v + 1)
 
 
 def cover_cost(cv: Cover, v: int) -> int:
@@ -126,9 +120,7 @@ def cover_cost(cv: Cover, v: int) -> int:
 # window extraction
 
 
-def cluster_common_targets(
-    c: Circuit, lookahead: int = 16
-) -> tuple[Circuit, list[Window]]:
+def cluster_common_targets(c: Circuit) -> tuple[Circuit, list[Window]]:
     """Rearrange the circuit (moving rule only) to maximize same-target runs.
 
     Returns the equivalent rearranged circuit and its complete left-to-right
@@ -142,34 +134,29 @@ def cluster_common_targets(
         t = gates[i].target
         end = i + 1
         j = end
-        while j < len(gates) and j - end <= lookahead:
+        while j < len(gates) and j - end <= MOVE_LOOKAHEAD:
             g = gates[j]
             if g.target == t and all(commutes(gates[k], g) for k in range(end, j)):
                 del gates[j]
                 gates.insert(end, g)
                 end += 1
             j += 1
-        windows.append(
-            Window(t, var_orders[t], (i, end), tuple(gates[i:end]))
-        )
+        windows.append(Window(t, var_orders[t], tuple(gates[i:end])))
         i = end
     return c.with_gates(gates), windows
-
-
-def extract_windows(c: Circuit, lookahead: int = 16) -> list[Window]:
-    """Same-target windows of the move-rearranged circuit; the rearrangement
-    is equivalence-preserving (see cluster_common_targets for both halves)."""
-    return cluster_common_targets(c, lookahead)[1]
 
 
 def build_kmap(w: Window) -> Kmap:
     """XOR of the window gates' control-cube indicators over var_order."""
     v = len(w.var_order)
-    pos = {line: j for j, line in enumerate(w.var_order)}
     cells = 0
     for g in w.gates:
-        cube = Cube(frozenset((pos[c.line], c.polarity) for c in g.controls))
-        cells ^= cube.mask(v)
+        care = value = 0
+        for j, line in enumerate(w.var_order):
+            if g.controls >> line & 1:
+                care |= 1 << (v - 1 - j)
+                value |= (g.pos >> line & 1) << (v - 1 - j)
+        cells ^= Cube(care, value).mask(v)
     return Kmap(v, cells)
 
 
@@ -178,17 +165,18 @@ def build_kmap(w: Window) -> Kmap:
 
 
 def _all_cubes(v: int) -> list[Cube]:
+    # base-3 digit j of the code: 0 = variable j free, 1 = pinned to 1, 2 = to 0
     cubes = []
     for code in range(3**v):
-        lits = []
+        care = value = 0
         x = code
         for j in range(v):
             x, r = divmod(x, 3)
-            if r == 1:
-                lits.append((j, Polarity.POSITIVE))
-            elif r == 2:
-                lits.append((j, Polarity.NEGATIVE))
-        cubes.append(Cube(frozenset(lits)))
+            if r:
+                care |= 1 << (v - 1 - j)
+                if r == 1:
+                    value |= 1 << (v - 1 - j)
+        cubes.append(Cube(care, value))
     return cubes
 
 
@@ -243,51 +231,35 @@ def _cube_from_mask(v: int, m: int) -> Cube | None:
     """The unique cube covering exactly the cells of m, if one exists."""
     if m == 0:
         return None
-    cells = []
+    base = (m & -m).bit_length() - 1
+    span = 0  # variables on which the cells differ from the lowest one
     x = m
     while x:
         low = x & -x
-        cells.append(low.bit_length() - 1)
+        span |= (low.bit_length() - 1) ^ base
         x ^= low
-    base = cells[0]
-    span = 0
-    for cell in cells:
-        span |= cell ^ base
-    if len(cells) != 1 << span.bit_count():
+    if m.bit_count() != 1 << span.bit_count():
         return None
-    if any((cell ^ base) & ~span for cell in cells):
-        return None
-    lits = []
-    for j in range(v):
-        bit = 1 << (v - 1 - j)
-        if span & bit:
-            continue
-        pol = Polarity.POSITIVE if base & bit else Polarity.NEGATIVE
-        lits.append((j, pol))
-    return Cube(frozenset(lits))
+    care = ((1 << v) - 1) & ~span
+    return Cube(care, base & care)
 
 
 def _peel_candidates(v: int, cell: int) -> list[Cube]:
     """Cubes whose highest covered cell is exactly `cell`: fixed vars take the
     cell's values, free vars range over the cell's 1-positions."""
-    one_positions = [j for j in range(v) if (cell >> (v - 1 - j)) & 1]
-    if len(one_positions) > 12:  # keep enumeration bounded on huge maps
-        subsets = [()] + [(j,) for j in one_positions] + [tuple(one_positions)]
+    ones = [1 << b for b in reversed(range(v)) if (cell >> b) & 1]
+    if len(ones) > 12:  # keep enumeration bounded on huge maps
+        subsets = [()] + [(b,) for b in ones] + [tuple(ones)]
     else:
         subsets = [
             combo
-            for r in range(len(one_positions) + 1)
-            for combo in combinations(one_positions, r)
+            for r in range(len(ones) + 1)
+            for combo in combinations(ones, r)
         ]
     out = []
     for free in subsets:
-        lits = []
-        for j in range(v):
-            if j in free:
-                continue
-            bit = (cell >> (v - 1 - j)) & 1
-            lits.append((j, Polarity.POSITIVE if bit else Polarity.NEGATIVE))
-        out.append(Cube(frozenset(lits)))
+        care = ((1 << v) - 1) ^ sum(free)
+        out.append(Cube(care, cell & care))
     return out
 
 
@@ -351,28 +323,32 @@ def minimize_cover(k: Kmap, exact_threshold: int = 4) -> Cover:
 def cover_to_gates(cv: Cover, w: Window) -> list[Gate]:
     """One gate per cube (controls = the cube's fixed literals), plus a NOT
     on the target when the cover realizes the complemented map."""
+    v = len(w.var_order)
     gates = []
     for q in cv.cubes:
-        controls = frozenset(
-            Control(w.var_order[j], pol) for j, pol in q.literals
-        )
-        gates.append(Gate(controls, w.target))
+        pos = neg = 0
+        for j, line in enumerate(w.var_order):
+            bit = 1 << (v - 1 - j)
+            if q.value & bit:
+                pos |= 1 << line
+            elif q.care & bit:
+                neg |= 1 << line
+        gates.append(Gate(pos, neg, w.target))
     if cv.inverted:
         gates.append(mct([], w.target))
     return gates
 
 
-def ctr_optimize(c: Circuit, exact_threshold: int = 4, lookahead: int = 16) -> Circuit:
+def ctr_optimize(c: Circuit) -> Circuit:
     """Re-synthesize every same-target window, keeping strict cost wins only."""
-    rearranged, windows = cluster_common_targets(c, lookahead)
+    rearranged, windows = cluster_common_targets(c)
     n = c.width
     out: list[Gate] = []
     for w in windows:
         if n == 1:
             new = (mct([], w.target),) * (len(w.gates) % 2)
         else:
-            cv = minimize_cover(build_kmap(w), exact_threshold=exact_threshold)
-            new = tuple(cover_to_gates(cv, w))
+            new = tuple(cover_to_gates(minimize_cover(build_kmap(w)), w))
         old_cost = sum(gate_cost(g, n) for g in w.gates)
         new_cost = sum(gate_cost(g, n) for g in new)
         out.extend(new if new_cost < old_cost else w.gates)

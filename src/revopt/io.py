@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Circuit, Control, Gate, Polarity
+from .core import Circuit, Gate
 
 
 class ParseError(ValueError):
@@ -74,6 +74,9 @@ def parse_circuit(text: str) -> Circuit:
                     raise ParseError(".v header lists no lines", lineno)
                 if len(set(items)) != len(items):
                     raise ParseError(".v header repeats a line name", lineno)
+                for item in items:
+                    if item.endswith("'"):
+                        raise ParseError(f"line name {item!r} ends in \"'\"", lineno)
                 names = tuple(items)
                 index = {name: i for i, name in enumerate(names)}
             elif key in (".i", ".o"):
@@ -100,8 +103,8 @@ def parse_circuit(text: str) -> Circuit:
         if k == 0:
             raise ParseError("gate needs at least a target operand", lineno)
         seen: set[str] = set()
-        controls: list[Control] = []
-        for pos, op in enumerate(operands):
+        pos = neg = 0
+        for i, op in enumerate(operands):
             negative = op.endswith("'")
             name = op[:-1] if negative else op
             if name not in index:
@@ -109,14 +112,14 @@ def parse_circuit(text: str) -> Circuit:
             if name in seen:
                 raise ParseError(f"duplicate operand {name!r}", lineno)
             seen.add(name)
-            is_target = pos == len(operands) - 1
-            if is_target:
+            if i == k - 1:  # the target
                 if negative:
                     raise ParseError("target operand cannot be negated", lineno)
-                gates.append(Gate(frozenset(controls), index[name]))
+                gates.append(Gate(pos, neg, index[name]))
+            elif negative:
+                neg |= 1 << index[name]
             else:
-                pol = Polarity.NEGATIVE if negative else Polarity.POSITIVE
-                controls.append(Control(index[name], pol))
+                pos |= 1 << index[name]
 
     if names is None:
         raise ParseError("missing .v header")
@@ -132,8 +135,9 @@ def write_circuit(c: Circuit) -> str:
     lines = [f".v {','.join(c.names)}", "BEGIN"]
     for g in c.gates:
         ops = [
-            c.names[ctl.line] + ("" if ctl.positive else "'")
-            for ctl in g.sorted_controls()
+            name + ("" if g.pos >> line & 1 else "'")
+            for line, name in enumerate(c.names)
+            if g.controls >> line & 1
         ]
         ops.append(c.names[g.target])
         lines.append(f"t{len(ops)} {','.join(ops)}")

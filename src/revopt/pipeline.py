@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import MAX_SIM_WIDTH, Circuit, simulate
+from .core import MAX_SIM_WIDTH, Circuit, commutes, simulate
 from .cost import circuit_cost, gate_cost
-from .ctr import ctr_optimize
+from .ctr import MOVE_LOOKAHEAD, ctr_optimize
 from .rules import apply_gpr, apply_rctr, apply_rewrite, cancel_not_pairs
-from .core import commutes, same_function
 
 ALL_RULES = frozenset({"PR", "GPR", "RCTR", "CTR", "DELETE", "MOVE"})
 
@@ -25,9 +24,6 @@ ALL_RULES = frozenset({"PR", "GPR", "RCTR", "CTR", "DELETE", "MOVE"})
 class OptimizeConfig:
     enabled_rules: frozenset[str] = ALL_RULES
     max_iterations: int = 32
-    exact_cover_threshold: int = 4
-    move_lookahead: int = 16
-    seed: int = 0  # reserved; the driver is currently fully deterministic
     verify: bool = True
 
     def __post_init__(self):
@@ -136,7 +132,7 @@ def _delete_sweep(c: Circuit, lookahead: int) -> Circuit:
         k = i + 1
         hit = False
         while k < len(gates) and k - i <= lookahead + 1:
-            if same_function(gi, gates[k]):
+            if gi == gates[k]:
                 del gates[k]
                 del gates[i]
                 hit = True
@@ -164,7 +160,7 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     def _gpr_ctr_pass(current: Circuit) -> Circuit:
         cand = _gpr_sweep(current) if "GPR" in rules else current
         if "CTR" in rules:
-            cand = ctr_optimize(cand, cfg.exact_cover_threshold, cfg.move_lookahead)
+            cand = ctr_optimize(cand)
         return cand
 
     sequence: list = []
@@ -175,7 +171,7 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     if "RCTR" in rules:
         sequence.append(("r-ctr", _rctr_peephole))
     if "DELETE" in rules:
-        lookahead = cfg.move_lookahead if "MOVE" in rules else 0
+        lookahead = MOVE_LOOKAHEAD if "MOVE" in rules else 0
         sequence.append(("delete", lambda cur: _delete_sweep(cur, lookahead)))
 
     current = c

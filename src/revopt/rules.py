@@ -9,17 +9,8 @@ checks this exhaustively at small widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import (
-    Circuit,
-    Gate,
-    Polarity,
-    commutes,
-    mct,
-    same_function,
-    simulate,
-)
+from .core import Circuit, Gate, commutes, mct
 from .cost import circuit_cost
 
 
@@ -45,7 +36,7 @@ def _check_pair_index(c: Circuit, i: int) -> None:
 def try_delete(c: Circuit, i: int) -> RewriteResult | None:
     """Cancel two adjacent gates with identical function."""
     _check_pair_index(c, i)
-    if same_function(c.gates[i], c.gates[i + 1]):
+    if c.gates[i] == c.gates[i + 1]:
         return RewriteResult((), (i, i + 2), "delete")
     return None
 
@@ -77,9 +68,7 @@ def pass_not(c: Circuit, i: int, direction: str = "right") -> RewriteResult | No
     if g.arity != 0:
         return None
     nb = c.gates[ni]
-    x = g.target
-    if x in nb.control_lines:
-        nb = nb.with_toggled_control(x)
+    nb = nb.toggled(nb.controls & 1 << g.target)
     if direction == "right":
         return RewriteResult((nb, g), (i, i + 2), "pass")
     return RewriteResult((g, nb), (i - 1, i + 1), "pass")
@@ -96,17 +85,15 @@ def cancel_not_pairs(c: Circuit, direction: str = "right") -> Circuit:
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    parity: set[int] = set()
+    parity = 0  # mask of lines with an odd number of pending NOTs
     body: list[Gate] = []
     order = c.gates if direction == "right" else reversed(c.gates)
     for g in order:
         if g.arity == 0:
-            parity.symmetric_difference_update({g.target})
+            parity ^= 1 << g.target
             continue
-        for line in parity & g.control_lines:
-            g = g.with_toggled_control(line)
-        body.append(g)
-    leftovers = [mct([], line) for line in sorted(parity)]
+        body.append(g.toggled(g.controls & parity))
+    leftovers = [mct([], line) for line in range(parity.bit_length()) if parity >> line & 1]
     if direction == "right":
         new_gates = body + leftovers
     else:
@@ -118,45 +105,13 @@ def cancel_not_pairs(c: Circuit, direction: str = "right") -> Circuit:
     return c
 
 
-@lru_cache(maxsize=None)
-def _gpr_combo_valid(t2_polarity: Polarity, big_first: bool) -> bool:
-    """One-time oracle check of a generalized-pass polarity/order combination.
-
-    Built on a minimal 3-line instance, exhaustively over the shared control's
-    polarity; a combination is enabled only if every instance simulates
-    identically before and after the rewrite.
-    """
-    for shared in (Polarity.POSITIVE, Polarity.NEGATIVE):
-        big = mct([(0, shared), (1, t2_polarity)], 2)
-        small = mct([(0, shared)], 1)
-        big2 = big.with_toggled_control(1)
-        if big_first:
-            before, after = (big, small), (small, big2)
-        else:
-            before, after = (small, big), (big2, small)
-        base = Circuit(3)
-        if simulate(base.with_gates(before)) != simulate(base.with_gates(after)):
-            return False
-    return True
-
-
 def _gpr_match(g1: Gate, g2: Gate) -> tuple[Gate, Gate, bool] | None:
-    """Find the (big, small, big_first) structure of a generalized-pass pair."""
+    """Find the (big, small, big_first) structure of a generalized-pass pair:
+    big's controls are small's, with the same polarities, plus small's target."""
     for big, small, big_first in ((g1, g2, True), (g2, g1, False)):
-        if big.arity != small.arity + 1:
-            continue
-        if small.target not in big.control_lines:
-            continue
-        if big.control_lines != small.control_lines | {small.target}:
-            continue
-        small_pol = {c.line: c.polarity for c in small.controls}
-        if any(
-            c.polarity != small_pol[c.line]
-            for c in big.controls
-            if c.line != small.target
-        ):
-            continue
-        return big, small, big_first
+        t = 1 << small.target
+        if big.controls & t and big.pos & ~t == small.pos and big.neg & ~t == small.neg:
+            return big, small, big_first
     return None
 
 
@@ -170,10 +125,7 @@ def apply_gpr(c: Circuit, i: int) -> RewriteResult | None:
     if m is None:
         return None
     big, small, big_first = m
-    t2_pol = next(x.polarity for x in big.controls if x.line == small.target)
-    if not _gpr_combo_valid(t2_pol, big_first):
-        return None
-    big2 = big.with_toggled_control(small.target)
+    big2 = big.toggled(1 << small.target)
     new = (small, big2) if big_first else (big2, small)
     return RewriteResult(new, (i, i + 2), "gpr")
 
@@ -192,19 +144,13 @@ def apply_rctr(c: Circuit, i: int) -> RewriteResult | None:
 
     if g2 is not None and g1.target == g2.target:
         t = g1.target
-        if g1.arity == 1 and g2.arity == 1:
-            c1, c2 = next(iter(g1.controls)), next(iter(g2.controls))
-            if c1.line == c2.line and c1.polarity != c2.polarity:
-                return RewriteResult((mct([], t),), (i, i + 2), "r-ctr")
+        if g1.arity == 1 and g1.controls == g2.controls and g1.pos != g2.pos:
+            return RewriteResult((mct([], t),), (i, i + 2), "r-ctr")
         pair = sorted((g1, g2), key=lambda g: g.arity)
-        if pair[0].arity == 0 and pair[1].arity == 1:
-            ctl = next(iter(pair[1].controls))
-            if not ctl.positive:
-                return RewriteResult((mct([ctl.line], t),), (i, i + 2), "r-ctr")
+        if pair[0].arity == 0 and pair[1].arity == 1 and pair[1].neg:
+            return RewriteResult((Gate(pair[1].neg, 0, t),), (i, i + 2), "r-ctr")
 
-    if g1.arity == 1:
-        ctl = next(iter(g1.controls))
-        if not ctl.positive:
-            new = (mct([ctl.line], g1.target), mct([], g1.target))
-            return RewriteResult(new, (i, i + 1), "r-ctr")
+    if g1.arity == 1 and g1.neg:
+        new = (Gate(g1.neg, 0, g1.target), mct([], g1.target))
+        return RewriteResult(new, (i, i + 1), "r-ctr")
     return None

@@ -15,9 +15,8 @@ from revopt.cost import gate_cost
 
 def naive_apply_gate(g: Gate, bits: list[int]) -> list[int]:
     """Gate semantics on an explicit bit list (index 0 = line 0 = MSB)."""
-    for c in g.controls:
-        want = 1 if c.positive else 0
-        if bits[c.line] != want:
+    for line, bit in enumerate(bits):
+        if (g.pos >> line & 1 and bit != 1) or (g.neg >> line & 1 and bit != 0):
             return bits
     out = list(bits)
     out[g.target] ^= 1

@@ -35,6 +35,13 @@ def test_cost_parse_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cost_unwritable_line_name(tmp_path, capsys):
+    p = tmp_path / "bad.tfc"
+    p.write_text(".v a',b\nBEGIN\nt1 b\nEND\n")
+    assert main(["cost", str(p)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_equiv_self(ex1_file, capsys):
     assert main(["equiv", ex1_file, ex1_file]) == 0
 

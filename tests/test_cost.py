@@ -75,3 +75,18 @@ def test_circuit_cost():
     assert circuit_cost(ex1) == 10
     opt = Circuit(3).cx(0, 2).cx(1, 2)
     assert circuit_cost(opt) == 2
+
+
+def test_removing_a_control_never_raises_cost():
+    # controls on lines 0..m-1, the first k negative, target on line n-1;
+    # cost does not depend on which lines carry which polarity (see
+    # test_control_permutation_invariance), so this covers every mix
+    for n in range(1, 17):
+        for m in range(1, n):
+            for k in range(m + 1):
+                polarities = [False] * k + [True] * (m - k)
+                g = mct(list(zip(range(m), polarities)), n - 1)
+                for drop in {polarities.index(p) for p in (False, True) if p in polarities}:
+                    rest = polarities[:drop] + polarities[drop + 1:]
+                    smaller = mct(list(zip(range(m - 1), rest)), n - 1)
+                    assert gate_cost(smaller, n) <= gate_cost(g, n), (n, m, k, drop)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from revopt.core import Circuit, Polarity, mct, simulate
+from revopt.core import Circuit, mct, simulate
 from revopt.cost import circuit_cost, gate_cost
 from revopt.ctr import (
     Cover,
@@ -13,12 +13,9 @@ from revopt.ctr import (
     cover_cost,
     cover_to_gates,
     ctr_optimize,
-    extract_windows,
     minimize_cover,
 )
 from oracles import oracle_min_cost_by_enumeration, oracle_min_cost_layered, random_circuit
-
-POS, NEG = Polarity.POSITIVE, Polarity.NEGATIVE
 
 
 def kmap_of_cover(cv: Cover, v: int) -> int:
@@ -31,15 +28,15 @@ def kmap_of_cover(cv: Cover, v: int) -> int:
 
 def test_cube_masks():
     # v=2, var 0 = MSB of the cell index
-    assert Cube(frozenset()).mask(2) == 0b1111
-    assert Cube(frozenset({(0, POS)})).mask(2) == 0b1100
-    assert Cube(frozenset({(1, NEG)})).mask(2) == 0b0101
-    assert Cube(frozenset({(0, POS), (1, POS)})).mask(2) == 0b1000
+    assert Cube(0, 0).mask(2) == 0b1111
+    assert Cube(0b10, 0b10).mask(2) == 0b1100  # var 0 = 1
+    assert Cube(0b01, 0b00).mask(2) == 0b0101  # var 1 = 0
+    assert Cube(0b11, 0b11).mask(2) == 0b1000  # var 0 = var 1 = 1
 
 
 def test_extract_windows_simple():
     c = Circuit(3).cx(0, 2).cx(1, 2)
-    ws = extract_windows(c)
+    ws = cluster_common_targets(c)[1]
     assert len(ws) == 1
     assert ws[0].target == 2 and len(ws[0].gates) == 2
 
@@ -67,20 +64,21 @@ def test_extract_windows_merges_over_commuting_gate():
 
 def test_extract_windows_no_merge_across_targets():
     c = Circuit(3).mcx([0, 1], 2).cx(2, 1)
-    ws = extract_windows(c)
+    ws = cluster_common_targets(c)[1]
     assert [w.target for w in ws] == [2, 1]
 
 
 def test_build_kmap_xor_of_cubes():
-    w = extract_windows(Circuit(3).mcx([0, (1, False)], 2).mcx([(0, False), 1], 2))[0]
+    c = Circuit(3).mcx([0, (1, False)], 2).mcx([(0, False), 1], 2)
+    w = cluster_common_targets(c)[1][0]
     k = build_kmap(w)
     assert k.vars == 2
     assert k.cells == 0b0110  # a XOR b: cells 01 and 10
 
-    w = extract_windows(Circuit(3).x(2))[0]
+    w = cluster_common_targets(Circuit(3).x(2))[1][0]
     assert build_kmap(w).cells == 0b1111
 
-    w = extract_windows(Circuit(3).cx(0, 2).cx(0, 2))[0]
+    w = cluster_common_targets(Circuit(3).cx(0, 2).cx(0, 2))[1][0]
     assert build_kmap(w).cells == 0
 
 
@@ -88,7 +86,7 @@ def test_build_kmap_matches_window_simulation():
     rng = random.Random(5)
     for _ in range(30):
         c = random_circuit(rng, max_width=5, max_gates=6)
-        for w in extract_windows(c):
+        for w in cluster_common_targets(c)[1]:
             k = build_kmap(w)
             v = len(w.var_order)
             sub = Circuit(c.width, w.gates)
@@ -105,9 +103,7 @@ def test_build_kmap_matches_window_simulation():
 def test_minimize_cover_xor_function():
     cv = minimize_cover(Kmap(2, 0b0110))
     assert not cv.inverted
-    assert sorted(q.literals for q in cv.cubes) == sorted(
-        [frozenset({(0, POS)}), frozenset({(1, POS)})]
-    )
+    assert sorted((q.care, q.value) for q in cv.cubes) == [(0b01, 0b01), (0b10, 0b10)]
     assert cover_cost(cv, 2) == 2
 
 
@@ -126,12 +122,12 @@ def test_minimize_cover_inverted_nand():
     cv = minimize_cover(k)
     assert kmap_of_cover(cv, 3) == k.cells
     assert cover_cost(cv, 3) == 14
-    minterm = frozenset({(0, POS), (1, POS), (2, POS)})
+    minterm = Cube(0b111, 0b111)
     if cv.inverted:
-        assert [q.literals for q in cv.cubes] == [minterm]
+        assert list(cv.cubes) == [minterm]
     else:
         assert sorted(q.num_fixed for q in cv.cubes) == [0, 3]
-        assert minterm in [q.literals for q in cv.cubes]
+        assert minterm in cv.cubes
 
 
 def test_minimize_cover_single_negative_literal():
@@ -141,7 +137,7 @@ def test_minimize_cover_single_negative_literal():
     cv = minimize_cover(Kmap(1, 0b01))
     assert kmap_of_cover(cv, 1) == 0b01
     assert cover_cost(cv, 1) == 2
-    assert frozenset({(0, POS)}) in [q.literals for q in cv.cubes]
+    assert Cube(0b1, 0b1) in cv.cubes
 
 
 def test_minimize_cover_empty():
@@ -188,17 +184,17 @@ def test_exact_matches_layered_oracle_v3_sample():
 
 def test_cover_to_gates():
     c = Circuit(3).mcx([0, (1, False)], 2).mcx([(0, False), 1], 2)
-    w = extract_windows(c)[0]
+    w = cluster_common_targets(c)[1][0]
     cv = minimize_cover(build_kmap(w))
     gates = cover_to_gates(cv, w)
-    assert sorted(g.sorted_controls()[0].line for g in gates) == [0, 1]
+    assert sorted((g.controls & -g.controls).bit_length() - 1 for g in gates) == [0, 1]
     assert all(g.target == 2 for g in gates)
 
-    full = Cover((Cube(frozenset()),), inverted=False)
+    full = Cover((Cube(0, 0),), inverted=False)
     assert cover_to_gates(full, w) == [mct([], 2)]
 
-    inv = Cover((Cube(frozenset({(0, POS), (1, POS), (2, POS)})),), inverted=True)
-    w4 = extract_windows(Circuit(4).x(3))[0]
+    inv = Cover((Cube(0b111, 0b111),), inverted=True)
+    w4 = cluster_common_targets(Circuit(4).x(3))[1][0]
     gates = cover_to_gates(inv, w4)
     assert gates == [mct([0, 1, 2], 3), mct([], 3)]
 

@@ -54,12 +54,25 @@ def test_parse_crlf():
         (".v a,b\nBEGIN\nt3 a,b\nEND\n", "expects 3 operands"),
         (".v a,b\nBEGIN\nq2 a,b\nEND\n", "unparsable"),
         (".v a,a\nBEGIN\nEND\n", "repeats a line name"),
+        (".v a',b\nBEGIN\nt1 b\nEND\n", "ends in"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_circuit(text)
     assert fragment in str(exc.value)
+
+
+def test_unwritable_line_names_rejected():
+    # a name ending in an apostrophe would read back as a negated control
+    with pytest.raises(ParseError) as exc:
+        parse_circuit("# header\n.v a',b\nBEGIN\nt1 b\nEND\n")
+    assert exc.value.line == 2
+    for bad in ("", "a,b", "a#b", "a'", " a", "a\nb"):
+        with pytest.raises(ValueError):
+            Circuit(2, (), (bad, "z"))
+    c = Circuit(2, (mct([(0, False)], 1),), ("a'b", "c"))  # inner apostrophe is fine
+    assert parse_circuit(write_circuit(c)) == c
 
 
 def test_parse_errors_carry_line_numbers():

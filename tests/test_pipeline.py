@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from revopt.core import Circuit, mct, simulate
 from revopt.cost import circuit_cost
+from revopt.io import write_circuit
 from revopt.pipeline import (
     OptimizeConfig,
     improvement_percent,
@@ -107,3 +109,20 @@ def test_improvement_percent():
     assert improvement_percent_rounded(25, 20) == 20
     with pytest.raises(ValueError):
         improvement_percent(0, 0)
+
+
+def test_optimizer_output_pinned():
+    # Exact output on a fixed corpus. A change that moves these numbers
+    # changes what the optimizer emits; update them only on purpose.
+    rng = random.Random(1234)
+    cost = gates = 0
+    digest = hashlib.sha256()
+    for _ in range(300):
+        out, report = optimize(random_circuit(rng, max_width=6, max_gates=30))
+        cost += report.cost_after
+        gates += report.gates_after
+        digest.update(write_circuit(out).encode())
+    assert (cost, gates) == (25390, 2389)
+    assert digest.hexdigest() == (
+        "2e2e0df1c89d41bc82ae3637f7b54033b8ae6a4121134f6dd58d2f964d004a62"
+    )

@@ -149,6 +149,12 @@ def test_gpr_sound_for_all_enabled_combinations():
         r = apply_gpr(c, 0)
         if r is not None:
             assert simulate(apply_rewrite(c, r)) == simulate(c)
+    # every (toggled-control polarity x order) combination is enabled
+    for shared, toggled, big_first in itertools.product([True, False], repeat=3):
+        big = mct([(0, shared), (1, toggled)], 2)
+        small = mct([(0, shared)], 1)
+        c = Circuit(3, (big, small) if big_first else (small, big))
+        assert apply_gpr(c, 0) is not None, (shared, toggled, big_first)
 
 
 def test_rctr_opposite_pair_becomes_not():
