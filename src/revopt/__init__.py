@@ -40,9 +40,6 @@ from .rules import (
     apply_rctr,
     apply_rewrite,
     cancel_not_pairs,
-    pass_not,
-    try_delete,
-    try_move,
 )
 
 __all__ = [
@@ -80,9 +77,6 @@ __all__ = [
     "optimize",
     "parse_circuit",
     "parse_spec",
-    "pass_not",
     "simulate",
-    "try_delete",
-    "try_move",
     "write_circuit",
 ]

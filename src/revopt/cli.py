@@ -88,6 +88,8 @@ def _cmd_sim(args) -> int:
 
 def _parse_rules(spec: str) -> frozenset[str]:
     names = [s.strip().upper() for s in spec.split(",") if s.strip()]
+    if not names:
+        raise ValueError("no rules given")
     if "ALL" in names:
         return ALL_RULES
     rules = frozenset(names)

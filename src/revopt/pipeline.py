@@ -1,21 +1,28 @@
 """Optimization driver: runs rule passes to a cost-guarded fixpoint.
 
-Pass order per iteration: NOT cancellation, generalized-pass + common-target
-resynthesis, restricted common-target peephole, move-assisted deletion sweep.
-A pass commits only if it strictly lowers cost, or keeps cost while dropping
-gates; the generalized-pass sweep is guarded jointly with the common-target
-pass that follows it, since its swaps are cost-neutral on their own and only
-pay off by clustering same-target gates.
+The rules themselves live in `rules` (and `ctr` for common-target
+resynthesis); this module only orders and guards them. Pass order per
+iteration: NOT cancellation, generalized-pass + common-target resynthesis,
+restricted common-target peephole, move-assisted deletion sweep.
+
+A pass commits only if it lowers (cost, gate count): strictly lower cost, or
+the same cost with fewer gates. The generalized-pass sweep is guarded jointly
+with the common-target pass that follows it, since its swaps are
+cost-neutral on their own and only pay off by clustering same-target gates.
+Each pass's output is priced once, and that price is carried forward.
+
+The fixpoint stops after the first iteration that does not lower cost, even
+if that iteration committed passes that only removed gates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import MAX_SIM_WIDTH, Circuit, commutes, simulate
-from .cost import circuit_cost, gate_cost
+from .core import MAX_SIM_WIDTH, Circuit, simulate
+from .cost import circuit_cost
 from .ctr import MOVE_LOOKAHEAD, ctr_optimize
-from .rules import apply_gpr, apply_rctr, apply_rewrite, cancel_not_pairs
+from .rules import delete_sweep, gpr_sweep, not_cancel_sweep, rctr_sweep
 
 ALL_RULES = frozenset({"PR", "GPR", "RCTR", "CTR", "DELETE", "MOVE"})
 
@@ -67,90 +74,13 @@ def improvement_percent_rounded(before: int, after: int) -> int:
     return int(improvement_percent(before, after) + Fraction(1, 2))
 
 
-def _committable(candidate: Circuit, current: Circuit) -> bool:
-    cc, oc = circuit_cost(candidate), circuit_cost(current)
-    if cc < oc:
-        return True
-    return cc == oc and len(candidate.gates) < len(current.gates)
-
-
-def _not_cancel_pass(c: Circuit) -> Circuit:
-    out = cancel_not_pairs(c, "right")
-    if circuit_cost(out) >= circuit_cost(c) and len(out.gates) >= len(c.gates):
-        left = cancel_not_pairs(c, "left")
-        if _committable(left, out):
-            return left
-    return out
-
-
-def _gpr_sweep(c: Circuit) -> Circuit:
-    """Apply generalized-pass swaps that either cut cost immediately or pull
-    same-target gates next to each other for the common-target pass."""
-    for i in range(len(c.gates) - 1):
-        r = apply_gpr(c, i)
-        if r is None:
-            continue
-        candidate = apply_rewrite(c, r)
-        if circuit_cost(candidate) < circuit_cost(c):
-            c = candidate
-            continue
-        before_adj = _adjacent_same_target(c, i)
-        if _adjacent_same_target(candidate, i) > before_adj:
-            c = candidate
-    return c
-
-
-def _adjacent_same_target(c: Circuit, i: int) -> int:
-    count = 0
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(c.gates) - 1 and c.gates[j].target == c.gates[j + 1].target:
-            count += 1
-    return count
-
-
-def _rctr_peephole(c: Circuit) -> Circuit:
-    i = 0
-    while i < len(c.gates):
-        r = apply_rctr(c, i)
-        if r is not None:
-            start, end = r.window
-            old = sum(gate_cost(g, c.width) for g in c.gates[start:end])
-            new = sum(gate_cost(g, c.width) for g in r.new_gates)
-            if new < old:
-                c = apply_rewrite(c, r)
-                continue
-        i += 1
-    return c
-
-
-def _delete_sweep(c: Circuit, lookahead: int) -> Circuit:
-    """Cancel identical gate pairs, bubbling over commuting gates in between."""
-    gates = list(c.gates)
-    i = 0
-    while i < len(gates):
-        gi = gates[i]
-        k = i + 1
-        hit = False
-        while k < len(gates) and k - i <= lookahead + 1:
-            if gi == gates[k]:
-                del gates[k]
-                del gates[i]
-                hit = True
-                break
-            if not commutes(gi, gates[k]):
-                break
-            k += 1
-        if not hit:
-            i += 1
-    return c.with_gates(gates)
-
-
 def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, OptimizeReport]:
     cfg = cfg or OptimizeConfig()
     rules = cfg.enabled_rules
+    current, cost = c, circuit_cost(c)
     report = OptimizeReport(
-        cost_before=circuit_cost(c),
-        cost_after=circuit_cost(c),
+        cost_before=cost,
+        cost_after=cost,
         gates_before=len(c.gates),
         gates_after=len(c.gates),
         iterations_run=0,
@@ -158,49 +88,41 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     )
 
     def _gpr_ctr_pass(current: Circuit) -> Circuit:
-        cand = _gpr_sweep(current) if "GPR" in rules else current
+        cand = gpr_sweep(current) if "GPR" in rules else current
         if "CTR" in rules:
             cand = ctr_optimize(cand)
         return cand
 
     sequence: list = []
     if "PR" in rules:
-        sequence.append(("not-cancel", _not_cancel_pass))
+        sequence.append(("not-cancel", not_cancel_sweep))
     if "GPR" in rules or "CTR" in rules:
         sequence.append(("gpr+ctr" if "GPR" in rules else "ctr", _gpr_ctr_pass))
     if "RCTR" in rules:
-        sequence.append(("r-ctr", _rctr_peephole))
+        sequence.append(("r-ctr", rctr_sweep))
     if "DELETE" in rules:
         lookahead = MOVE_LOOKAHEAD if "MOVE" in rules else 0
-        sequence.append(("delete", lambda cur: _delete_sweep(cur, lookahead)))
+        sequence.append(("delete", lambda cur: delete_sweep(cur, lookahead)))
 
-    current = c
     for _ in range(cfg.max_iterations):
         report.iterations_run += 1
-        iter_start_cost = circuit_cost(current)
+        iter_start_cost = cost
         for name, fn in sequence:
             candidate = fn(current)
-            delta = PassDelta(
-                name=name,
-                cost_before=circuit_cost(current),
-                cost_after=circuit_cost(candidate),
-                gates_before=len(current.gates),
-                gates_after=len(candidate.gates),
-                committed=_committable(candidate, current),
-            )
-            if delta.committed:
-                current = candidate
+            new_cost, gates = circuit_cost(candidate), len(current.gates)
+            if (new_cost, len(candidate.gates)) < (cost, gates):
+                report.passes.append(PassDelta(name, cost, new_cost, gates,
+                                               len(candidate.gates), True))
+                current, cost = candidate, new_cost
             else:
-                delta.cost_after = delta.cost_before
-                delta.gates_after = delta.gates_before
-            report.passes.append(delta)
-        if circuit_cost(current) >= iter_start_cost:
+                report.passes.append(PassDelta(name, cost, cost, gates, gates, False))
+        if cost >= iter_start_cost:
             break
 
     if cfg.verify and c.width <= MAX_SIM_WIDTH:
         if simulate(current) != simulate(c):  # pragma: no cover - rules are sound
             raise RuntimeError("optimization changed circuit function")
         report.equivalence_checked = True
-    report.cost_after = circuit_cost(current)
+    report.cost_after = cost
     report.gates_after = len(current.gates)
     return current, report

@@ -1,17 +1,28 @@
-"""Local rewrite rules: deletion, moving, NOT-pass, generalized pass, and the
-restricted common-target identities.
+"""Local rewrite rules: NOT passing, move-assisted deletion, the generalized
+pass, and the restricted common-target identities.
 
-Every rule is a partial rewrite: given a circuit and a position it either
-returns a RewriteResult (a replacement for a small window of gates) or None.
-Applied rewrites always preserve the simulated permutation; the test suite
-checks this exhaustively at small widths.
+Matchers look at one position: `apply_gpr` and `apply_rctr` return a
+RewriteResult (replacement gates for a small window) or None, and
+`apply_rewrite` splices one in. The moving rule's condition is
+`core.commutes`.
+
+Each rule the pipeline runs has one whole-circuit sweep here, named after
+its `--rules` name:
+
+    pr             not_cancel_sweep (cancel_not_pairs, in the better direction)
+    gpr            gpr_sweep
+    rctr           rctr_sweep
+    delete, move   delete_sweep (move: slide over commuting gates)
+
+(`ctr` is `ctr.ctr_optimize`.) Every rewrite preserves the simulated
+permutation; the test suite checks this exhaustively at small widths.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .core import Circuit, Gate, commutes, mct
-from .cost import circuit_cost
+from .cost import NOT_COST, gate_cost
 
 
 @dataclass(frozen=True)
@@ -20,7 +31,6 @@ class RewriteResult:
 
     new_gates: tuple[Gate, ...]
     window: tuple[int, int]
-    rule_name: str
 
 
 def apply_rewrite(c: Circuit, r: RewriteResult) -> Circuit:
@@ -28,50 +38,26 @@ def apply_rewrite(c: Circuit, r: RewriteResult) -> Circuit:
     return c.with_gates(c.gates[:start] + r.new_gates + c.gates[end:])
 
 
-def _check_pair_index(c: Circuit, i: int) -> None:
-    if i < 0 or i + 1 >= len(c.gates):
-        raise IndexError(f"no adjacent pair at index {i} in a {len(c.gates)}-gate circuit")
+def _window_delta(c: Circuit, r: RewriteResult) -> int:
+    """Cost change of applying r, priced on the gates it replaces."""
+    start, end = r.window
+    n = c.width
+    return (sum(gate_cost(g, n) for g in r.new_gates)
+            - sum(gate_cost(g, n) for g in c.gates[start:end]))
 
 
-def try_delete(c: Circuit, i: int) -> RewriteResult | None:
-    """Cancel two adjacent gates with identical function."""
-    _check_pair_index(c, i)
-    if c.gates[i] == c.gates[i + 1]:
-        return RewriteResult((), (i, i + 2), "delete")
-    return None
-
-
-def try_move(c: Circuit, i: int) -> RewriteResult | None:
-    """Swap two adjacent gates when the moving rule allows it."""
-    _check_pair_index(c, i)
-    g1, g2 = c.gates[i], c.gates[i + 1]
-    if commutes(g1, g2):
-        return RewriteResult((g2, g1), (i, i + 2), "move")
-    return None
-
-
-def pass_not(c: Circuit, i: int, direction: str = "right") -> RewriteResult | None:
-    """Pass the NOT gate at index i over its neighbor in `direction`.
-
-    If the NOT's line is a control of the neighbor, that control's polarity is
-    toggled; otherwise (the line is free or is the neighbor's target) the two
-    gates simply swap.
-    """
-    if direction not in ("left", "right"):
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    if i < 0 or i >= len(c.gates):
-        raise IndexError(f"index {i} out of range")
-    ni = i + 1 if direction == "right" else i - 1
-    if ni < 0 or ni >= len(c.gates):
-        raise IndexError(f"NOT at {i} has no neighbor to the {direction}")
-    g = c.gates[i]
-    if g.arity != 0:
-        return None
-    nb = c.gates[ni]
-    nb = nb.toggled(nb.controls & 1 << g.target)
-    if direction == "right":
-        return RewriteResult((nb, g), (i, i + 2), "pass")
-    return RewriteResult((g, nb), (i - 1, i + 1), "pass")
+def _not_delta(c: Circuit, routed: Circuit) -> int:
+    """Cost change from c to `routed`, c with its NOTs moved by
+    cancel_not_pairs: the other gates keep their order and are passed through
+    as the same objects unless a control was toggled, so only toggled gates
+    are priced."""
+    old = [g for g in c.gates if g.arity]
+    new = [g for g in routed.gates if g.arity]
+    delta = NOT_COST * (len(routed.gates) - len(new) - (len(c.gates) - len(old)))
+    for a, b in zip(old, new):
+        if a is not b:
+            delta += gate_cost(b, c.width) - gate_cost(a, c.width)
+    return delta
 
 
 def cancel_not_pairs(c: Circuit, direction: str = "right") -> Circuit:
@@ -92,7 +78,8 @@ def cancel_not_pairs(c: Circuit, direction: str = "right") -> Circuit:
         if g.arity == 0:
             parity ^= 1 << g.target
             continue
-        body.append(g.toggled(g.controls & parity))
+        flip = g.controls & parity
+        body.append(g.toggled(flip) if flip else g)
     leftovers = [mct([], line) for line in range(parity.bit_length()) if parity >> line & 1]
     if direction == "right":
         new_gates = body + leftovers
@@ -100,9 +87,22 @@ def cancel_not_pairs(c: Circuit, direction: str = "right") -> Circuit:
         body.reverse()
         new_gates = leftovers + body
     candidate = c.with_gates(new_gates)
-    if circuit_cost(candidate) <= circuit_cost(c):
+    if _not_delta(c, candidate) <= 0:
         return candidate
     return c
+
+
+def not_cancel_sweep(c: Circuit) -> Circuit:
+    """NOT passing: cancel_not_pairs to the right; to the left instead when
+    the right sweep changes neither cost nor gate count and the left one
+    lowers (cost, gate count)."""
+    out = cancel_not_pairs(c, "right")
+    out_delta = _not_delta(c, out)
+    if out_delta >= 0 and len(out.gates) >= len(c.gates):
+        left = cancel_not_pairs(c, "left")
+        if (_not_delta(c, left), len(left.gates)) < (out_delta, len(out.gates)):
+            return left
+    return out
 
 
 def _gpr_match(g1: Gate, g2: Gate) -> tuple[Gate, Gate, bool] | None:
@@ -120,14 +120,37 @@ def apply_gpr(c: Circuit, i: int) -> RewriteResult | None:
     control set it extends by the smaller gate's target, toggling that
     control's polarity. Shared controls must agree in polarity.
     """
-    _check_pair_index(c, i)
+    if i < 0 or i + 1 >= len(c.gates):
+        raise IndexError(f"no adjacent pair at index {i} in a {len(c.gates)}-gate circuit")
     m = _gpr_match(c.gates[i], c.gates[i + 1])
     if m is None:
         return None
     big, small, big_first = m
     big2 = big.toggled(1 << small.target)
     new = (small, big2) if big_first else (big2, small)
-    return RewriteResult(new, (i, i + 2), "gpr")
+    return RewriteResult(new, (i, i + 2))
+
+
+def _same_target_pairs(c: Circuit, i: int) -> int:
+    """Adjacent same-target pairs among the gates at i-1 .. i+2."""
+    count = 0
+    for j in (i - 1, i, i + 1):
+        if 0 <= j < len(c.gates) - 1 and c.gates[j].target == c.gates[j + 1].target:
+            count += 1
+    return count
+
+
+def gpr_sweep(c: Circuit) -> Circuit:
+    """Apply generalized-pass swaps that either cut cost immediately or pull
+    same-target gates next to each other for the common-target pass."""
+    for i in range(len(c.gates) - 1):
+        r = apply_gpr(c, i)
+        if r is None:
+            continue
+        candidate = apply_rewrite(c, r)
+        if _window_delta(c, r) < 0 or _same_target_pairs(candidate, i) > _same_target_pairs(c, i):
+            c = candidate
+    return c
 
 
 def apply_rctr(c: Circuit, i: int) -> RewriteResult | None:
@@ -145,12 +168,47 @@ def apply_rctr(c: Circuit, i: int) -> RewriteResult | None:
     if g2 is not None and g1.target == g2.target:
         t = g1.target
         if g1.arity == 1 and g1.controls == g2.controls and g1.pos != g2.pos:
-            return RewriteResult((mct([], t),), (i, i + 2), "r-ctr")
+            return RewriteResult((mct([], t),), (i, i + 2))
         pair = sorted((g1, g2), key=lambda g: g.arity)
         if pair[0].arity == 0 and pair[1].arity == 1 and pair[1].neg:
-            return RewriteResult((Gate(pair[1].neg, 0, t),), (i, i + 2), "r-ctr")
+            return RewriteResult((Gate(pair[1].neg, 0, t),), (i, i + 2))
 
     if g1.arity == 1 and g1.neg:
         new = (Gate(g1.neg, 0, g1.target), mct([], g1.target))
-        return RewriteResult(new, (i, i + 1), "r-ctr")
+        return RewriteResult(new, (i, i + 1))
     return None
+
+
+def rctr_sweep(c: Circuit) -> Circuit:
+    """Apply every restricted common-target identity that lowers cost."""
+    i = 0
+    while i < len(c.gates):
+        r = apply_rctr(c, i)
+        if r is not None and _window_delta(c, r) < 0:
+            c = apply_rewrite(c, r)
+            continue
+        i += 1
+    return c
+
+
+def delete_sweep(c: Circuit, lookahead: int) -> Circuit:
+    """Cancel identical gate pairs; a gate slides over up to `lookahead`
+    gates it commutes with (the moving rule) to meet its twin."""
+    gates = list(c.gates)
+    i = 0
+    while i < len(gates):
+        gi = gates[i]
+        k = i + 1
+        hit = False
+        while k < len(gates) and k - i <= lookahead + 1:
+            if gi == gates[k]:
+                del gates[k]
+                del gates[i]
+                hit = True
+                break
+            if not commutes(gi, gates[k]):
+                break
+            k += 1
+        if not hit:
+            i += 1
+    return c.with_gates(gates)

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from revopt.core import Circuit, mct, simulate
+from revopt.core import Circuit, commutes, mct, simulate
 from revopt.cost import circuit_cost, gate_cost
-from revopt.ctr import Kmap, cover_cost, ctr_optimize, minimize_cover
+from revopt.ctr import MOVE_LOOKAHEAD, Kmap, cover_cost, ctr_optimize, minimize_cover
 from revopt.io import parse_circuit, write_circuit
 from revopt.pipeline import (
     OptimizeConfig,
@@ -28,9 +28,8 @@ from revopt.rules import (
     apply_gpr,
     apply_rctr,
     apply_rewrite,
-    pass_not,
-    try_delete,
-    try_move,
+    cancel_not_pairs,
+    delete_sweep,
 )
 from oracles import (
     all_gates,
@@ -91,6 +90,7 @@ def test_criterion_3_not_sandwich():
 
 
 def test_criterion_4_rule_soundness_exhaustive():
+    # counts only the instances where a rule fired
     started = time.time()
     checked = 0
     for n in (2, 3, 4):
@@ -98,17 +98,20 @@ def test_criterion_4_rule_soundness_exhaustive():
         for g1, g2 in itertools.product(gates, gates):
             c = Circuit(n, (g1, g2))
             base = simulate(c)
-            for rule in (try_delete, try_move, apply_gpr, apply_rctr):
+            if commutes(g1, g2):
+                assert simulate(Circuit(n, (g2, g1))) == base, ("move", g1, g2)
+                checked += 1
+            for rule in (apply_gpr, apply_rctr):
                 r = rule(c, 0)
                 if r is not None:
                     assert simulate(apply_rewrite(c, r)) == base, (rule.__name__, g1, g2)
                     checked += 1
-            if g1.arity == 0:
-                assert simulate(apply_rewrite(c, pass_not(c, 0, "right"))) == base
-                checked += 1
-            if g2.arity == 0:
-                assert simulate(apply_rewrite(c, pass_not(c, 1, "left"))) == base
-                checked += 1
+            outs = [delete_sweep(c, MOVE_LOOKAHEAD)]
+            outs += [cancel_not_pairs(c, d) for d in ("right", "left")]
+            for out in outs:
+                if out.gates != c.gates:
+                    assert simulate(out) == base, (out, g1, g2)
+                    checked += 1
         for g in gates:
             c = Circuit(n, (g,))
             r = apply_rctr(c, 0)

@@ -134,6 +134,13 @@ def test_optimize_unknown_rule(ex1_file, capsys):
     assert main(["optimize", ex1_file, "--rules", "nope"]) == 2
 
 
+def test_optimize_empty_rule_list(ex1_file, capsys):
+    for spec in ("", ",", " , "):
+        assert main(["optimize", ex1_file, "--rules", spec]) == 2
+        captured = capsys.readouterr()
+        assert "no rules" in captured.err and captured.out == ""
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io as _io
     monkeypatch.setattr("sys.stdin", _io.StringIO(NOT_A))
