@@ -45,6 +45,9 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    if (args.file2 is None) == (args.spec is None):
+        print("equiv needs either a second file or --spec", file=sys.stderr)
+        return EXIT_USAGE
     c1 = _read_circuit(args.file1)
     p1 = simulate(c1)
     if args.spec is not None:
@@ -54,9 +57,6 @@ def _cmd_equiv(args) -> int:
                 f"spec length {len(p2)} does not match circuit width {c1.width}"
             )
     else:
-        if args.file2 is None:
-            print("equiv needs a second file or --spec", file=sys.stderr)
-            return EXIT_USAGE
         c2 = _read_circuit(args.file2)
         if c2.width != c1.width:
             raise WidthMismatchError(f"widths differ: {c1.width} vs {c2.width}")

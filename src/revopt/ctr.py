@@ -14,8 +14,15 @@ emitted quantum cost, tie-broken by fewer cubes, then fewer control literals.
 
 Exact minimization (v <= 4) runs a shortest-path relaxation over residual
 maps: state = remaining cell-parity vector, edges = XOR-ing in one of the 3^v
-cubes, edge weight = the cube's gate cost. Larger maps use greedy peeling of
-the highest uncovered cell plus pairwise cube merging.
+cubes, edge weight = the cube's gate cost. Viewing the 2^(2^v) table as an
+array with one axis of length 2 per cell, XOR-ing a cube's cell mask into the
+index reverses that cube's axes, so one edge relaxes the whole table as
+`min(table, flipped table + weight)`; rounds repeat until nothing changes.
+
+Larger maps use greedy peeling of the highest uncovered cell plus pairwise
+cube merging. The peel candidates are the cubes whose highest cell is that
+cell (free variables drawn from its 1-bits); each is ranked on its cell mask
+and cost alone, by integer arithmetic, and only the winner becomes a Cube.
 """
 from __future__ import annotations
 
@@ -57,6 +64,12 @@ class Kmap:
     vars: int
     cells: int
 
+    def __post_init__(self):
+        if self.vars < 0:
+            raise ValueError(f"a map needs vars >= 0, got {self.vars}")
+        if self.cells < 0 or self.cells.bit_length() > 1 << self.vars:
+            raise ValueError(f"cells out of range for a {self.vars}-variable map")
+
 
 @dataclass(frozen=True)
 class Cube:
@@ -70,20 +83,14 @@ class Cube:
     care: int
     value: int
 
-    @property
-    def num_fixed(self) -> int:
-        return self.care.bit_count()
-
     def mask(self, v: int) -> int:
         """Bitmask of covered cells in a v-variable map."""
-        full = (1 << (1 << v)) - 1
-        m = full
-        care = self.care
-        while care:
-            low = care & -care
-            ones = _bit_one_mask(v, low.bit_length() - 1)
-            m &= ones if self.value & low else full ^ ones
-            care ^= low
+        m = 1 << self.value
+        free = ((1 << v) - 1) ^ self.care
+        while free:
+            low = free & -free
+            m |= m << low
+            free ^= low
         return m
 
 
@@ -94,16 +101,6 @@ class Cover:
 
     cubes: tuple[Cube, ...]
     inverted: bool = False
-
-
-@lru_cache(maxsize=None)
-def _bit_one_mask(v: int, b: int) -> int:
-    """Cells of a v-variable map whose index has bit b set."""
-    m = 0
-    for cell in range(1 << v):
-        if (cell >> b) & 1:
-            m |= 1 << cell
-    return m
 
 
 def cube_cost(cube: Cube, v: int) -> int:
@@ -182,7 +179,7 @@ def _all_cubes(v: int) -> list[Cube]:
 
 def _cube_weight(cube: Cube, v: int) -> int:
     # lexicographic (cost, cubes, literals) packed into one integer
-    return cube_cost(cube, v) * _WEIGHT_COST + _WEIGHT_CUBE + cube.num_fixed
+    return cube_cost(cube, v) * _WEIGHT_COST + _WEIGHT_CUBE + cube.care.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -190,28 +187,23 @@ def _exact_tables(v: int):
     """Min packed weight of a cover for every possible v-variable map."""
     cubes = _all_cubes(v)
     edges = [(q.mask(v), _cube_weight(q, v)) for q in cubes]
-    size = 1 << (1 << v)
-    big = np.int64(1) << 60
-    dist = np.full(size, big, dtype=np.int64)
+    cells = 1 << v
+    dist = np.full(1 << cells, 1 << 60, dtype=np.int64)
     dist[0] = 0
-    idx = np.arange(size)
-    changed = True
-    while changed:
-        changed = False
+    grid = dist.reshape((2,) * cells)  # axis k is bit cells-1-k of the index
+    while True:
+        before = dist.copy()
         for mask, w in edges:
-            cand = dist[idx ^ mask] + w
-            upd = cand < dist
-            if upd.any():
-                dist[upd] = cand[upd]
-                changed = True
-    return cubes, edges, dist
+            axes = tuple(k for k in range(cells) if mask >> (cells - 1 - k) & 1)
+            np.minimum(grid, np.flip(grid, axes) + w, out=grid)
+        if np.array_equal(before, dist):
+            return cubes, edges, dist.tolist()
 
 
 def _exact_solve(v: int, target: int) -> tuple[list[Cube], int]:
     cubes, edges, dist = _exact_tables(v)
     out: list[Cube] = []
     m = target
-    total = int(dist[target])
     while m:
         for q, (mask, w) in zip(cubes, edges):
             if dist[m ^ mask] + w == dist[m]:
@@ -220,7 +212,7 @@ def _exact_solve(v: int, target: int) -> tuple[list[Cube], int]:
                 break
         else:  # pragma: no cover - dist table always admits a step
             raise RuntimeError("cover reconstruction failed")
-    return out, total
+    return out, dist[target]
 
 
 # ---------------------------------------------------------------------------
@@ -244,41 +236,31 @@ def _cube_from_mask(v: int, m: int) -> Cube | None:
     return Cube(care, base & care)
 
 
-def _peel_candidates(v: int, cell: int) -> list[Cube]:
-    """Cubes whose highest covered cell is exactly `cell`: fixed vars take the
-    cell's values, free vars range over the cell's 1-positions."""
-    ones = [1 << b for b in reversed(range(v)) if (cell >> b) & 1]
-    if len(ones) > 12:  # keep enumeration bounded on huge maps
-        subsets = [()] + [(b,) for b in ones] + [tuple(ones)]
-    else:
-        subsets = [
-            combo
-            for r in range(len(ones) + 1)
-            for combo in combinations(ones, r)
-        ]
-    out = []
-    for free in subsets:
-        care = ((1 << v) - 1) ^ sum(free)
-        out.append(Cube(care, cell & care))
-    return out
-
-
 def _greedy_solve(v: int, target: int) -> tuple[list[Cube], int]:
-    full = (1 << (1 << v)) - 1
     residual = target
     picked: list[Cube] = []
     while residual:
+        # peel candidates: the cubes whose highest cell is `top`, i.e. fixed
+        # variables take top's values, free ones range over top's 1-bits
         top = residual.bit_length() - 1
+        ones = [1 << b for b in reversed(range(v)) if top >> b & 1]
+        # keep enumeration bounded on huge maps
+        sizes = range(len(ones) + 1) if len(ones) <= 12 else (0, 1, len(ones))
         best = None
-        for q in _peel_candidates(v, top):
-            qm = q.mask(v)
-            gain = (residual & qm).bit_count() - (qm & ~residual & full).bit_count()
-            key = (-gain, cube_cost(q, v), q.num_fixed)
-            if best is None or key < best[0]:
-                best = (key, q, qm)
-        _, q, qm = best
-        picked.append(q)
-        residual ^= qm
+        for r in sizes:
+            cost = mct_cost(v - r, r == len(ones), v + 1)  # same for every r-subset
+            for free in combinations(ones, r):
+                m = 1 << top
+                for b in free:
+                    m |= m >> b
+                # (-gain, cube cost, fixed literals); gain = cells fixed - cells broken
+                key = ((1 << r) - 2 * (residual & m).bit_count(), cost, v - r)
+                if best is None or key < best[0]:
+                    best = (key, free, m)
+        _, free, m = best
+        care = ((1 << v) - 1) ^ sum(free)
+        picked.append(Cube(care, top & care))
+        residual ^= m
     # pairwise merge: replace two cubes by one when their XOR is a cube
     improved = True
     while improved:

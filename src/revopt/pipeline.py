@@ -96,8 +96,9 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     sequence: list = []
     if "PR" in rules:
         sequence.append(("not-cancel", not_cancel_sweep))
-    if "GPR" in rules or "CTR" in rules:
-        sequence.append(("gpr+ctr" if "GPR" in rules else "ctr", _gpr_ctr_pass))
+    gpr_ctr = "+".join(r.lower() for r in ("GPR", "CTR") if r in rules)
+    if gpr_ctr:
+        sequence.append((gpr_ctr, _gpr_ctr_pass))
     if "RCTR" in rules:
         sequence.append(("r-ctr", rctr_sweep))
     if "DELETE" in rules:

@@ -68,6 +68,14 @@ def test_equiv_against_spec(ex1_file):
     assert main(["equiv", ex1_file, "--spec", "(0,1,2,3,4,5,6,7)"]) == 1
 
 
+def test_equiv_file_and_spec_is_usage_error(ex1_file, capsys):
+    # a second file and --spec together are ambiguous: neither is silently dropped
+    assert main(["equiv", ex1_file, ex1_file, "--spec", "(0,1,3,2,5,4,6,7)"]) == 2
+    captured = capsys.readouterr()
+    assert "either a second file or --spec" in captured.err and captured.out == ""
+    assert main(["equiv", ex1_file]) == 2
+
+
 def test_equiv_width_mismatch(tmp_path, ex1_file, capsys):
     p = tmp_path / "one.tfc"
     p.write_text(NOT_A)

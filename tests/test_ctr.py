@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -32,6 +33,22 @@ def test_cube_masks():
     assert Cube(0b10, 0b10).mask(2) == 0b1100  # var 0 = 1
     assert Cube(0b01, 0b00).mask(2) == 0b0101  # var 1 = 0
     assert Cube(0b11, 0b11).mask(2) == 0b1000  # var 0 = var 1 = 1
+    # every cube at v = 1..4 against a cell-by-cell enumeration
+    for v in range(1, 5):
+        for care in range(1 << v):
+            for value in range(1 << v):
+                if value & ~care:
+                    continue
+                want = sum(1 << cell for cell in range(1 << v) if cell & care == value)
+                assert Cube(care, value).mask(v) == want, (v, care, value)
+
+
+def test_kmap_rejects_out_of_range_input():
+    # checked on construction, so no solver ever sees (and loops on) such a map
+    for vars_, cells in ((5, -3), (2, -1), (2, 16), (-1, 0)):
+        with pytest.raises(ValueError):
+            Kmap(vars_, cells)
+    assert Kmap(2, 15).cells == 15 and Kmap(0, 1).cells == 1
 
 
 def test_extract_windows_simple():
@@ -110,7 +127,7 @@ def test_minimize_cover_xor_function():
 def test_minimize_cover_all_ones():
     cv = minimize_cover(Kmap(2, 0b1111))
     assert not cv.inverted and len(cv.cubes) == 1
-    assert cv.cubes[0].num_fixed == 0
+    assert cv.cubes[0].care.bit_count() == 0
 
 
 def test_minimize_cover_inverted_nand():
@@ -126,7 +143,7 @@ def test_minimize_cover_inverted_nand():
     if cv.inverted:
         assert list(cv.cubes) == [minterm]
     else:
-        assert sorted(q.num_fixed for q in cv.cubes) == [0, 3]
+        assert sorted(q.care.bit_count() for q in cv.cubes) == [0, 3]
         assert minterm in cv.cubes
 
 
@@ -164,6 +181,22 @@ def test_minimize_cover_heuristic_sound():
             cells = rng.randrange(1 << (1 << v))
             cv = minimize_cover(Kmap(v, cells))
             assert kmap_of_cover(cv, v) == cells
+
+
+def test_greedy_covers_pinned():
+    # Exact greedy choices: every 3-variable map and seeded maps at v = 4..8,
+    # all on the greedy path. Update the digest only on purpose.
+    digest = hashlib.sha256()
+    for cells in range(256):
+        digest.update(repr(minimize_cover(Kmap(3, cells), exact_threshold=2)).encode())
+    rng = random.Random(2024)
+    for v, count in ((4, 300), (5, 200), (6, 100), (7, 40), (8, 15)):
+        for _ in range(count):
+            k = Kmap(v, rng.randrange(1 << (1 << v)))
+            digest.update(repr(minimize_cover(k, exact_threshold=3)).encode())
+    assert digest.hexdigest() == (
+        "e32fed4e16f076cb6714c057e4c6ecb7d45059071d473b03ff8d7c8d12a028ed"
+    )
 
 
 def test_exact_matches_enumeration_oracle_v2():

@@ -54,6 +54,11 @@ def test_optimize_rule_selection():
     out, report = optimize(c, OptimizeConfig(enabled_rules=frozenset({"PR"})))
     assert report.cost_after == 10  # nothing for the pass rule to do here
     assert out.gates == c.gates
+    # the combined pass is named after the rules that run in it
+    for rules, name in (({"GPR"}, "gpr"), ({"CTR"}, "ctr"), ({"GPR", "CTR"}, "gpr+ctr")):
+        _, report = optimize(c, OptimizeConfig(enabled_rules=frozenset(rules)))
+        assert [p.name for p in report.passes] == [name] * report.iterations_run
+    assert {p.name for p in optimize(c)[1].passes} == {"not-cancel", "gpr+ctr", "r-ctr", "delete"}
 
 
 def test_optimize_max_iterations():
