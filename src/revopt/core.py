@@ -9,8 +9,9 @@ Two bit conventions:
   or negative control on that line, so a gate needs no circuit width.
 - State integers: the line with index 0, i.e. the first declared line, is the
   MOST significant bit. A permutation spec like (1,0,3,2,...) therefore reads
-  with the first line as the high bit. ``_state_masks`` is the one place that
-  converts between the two.
+  with the first line as the high bit. ``_state_masks`` turns a gate's line
+  masks into state masks for ``apply_gate`` and ``gate_fires``; ``simulate``
+  works per line instead, on bit planes indexed by state.
 
 Gates are applied in list order: gates[0] acts first.
 """
@@ -18,7 +19,10 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Union
+
+import numpy as np
 
 # Hard cap on simulation width: permutations are materialized as 2^n arrays.
 MAX_SIM_WIDTH = 16
@@ -163,15 +167,48 @@ def apply_gate(g: Gate, state: int, n: int) -> int:
 
 
 def simulate(c: Circuit) -> tuple[int, ...]:
-    """Full permutation realized by the circuit: entry i = image of input state i."""
+    """Full permutation realized by the circuit: entry i = image of input state i.
+
+    Runs on bit planes: one int per line whose bit i is that line's value in
+    state i, so line l's starting plane repeats 2^(n-1-l) zeros and as many
+    ones. A gate ANDs its control planes (complemented for negative controls)
+    into a fire plane and XORs that into its target's plane; only the final
+    planes are unpacked into state integers.
+    """
     n = c.width
     if n > MAX_SIM_WIDTH:
         raise WidthLimitError(f"cannot simulate width {n} (limit {MAX_SIM_WIDTH})")
-    states = list(range(1 << n))
+    size = 1 << n
+    full = (1 << size) - 1
+    planes = []
+    for line in range(n):
+        # one run of 2p states, doubled up to all of them (a closed form by
+        # big-int division takes a hundred times longer at 16 lines)
+        p = 1 << (n - 1 - line)
+        plane, span = (1 << p) - 1 << p, 2 * p
+        while span < size:
+            plane |= plane << span
+            span *= 2
+        planes.append(plane)
     for g in c.gates:
-        pos, neg, tgt = _state_masks(g, n)
-        states = [s ^ tgt if (s & pos) == pos and (s & neg) == 0 else s for s in states]
-    return tuple(states)
+        fire = full
+        for line in mask_lines(g.pos):
+            fire &= planes[line]
+        for line in mask_lines(g.neg):
+            fire &= full ^ planes[line]
+        planes[g.target] ^= fire
+    nbytes = (size + 7) // 8
+    bits = np.unpackbits(
+        np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in planes), np.uint8)
+        .reshape(n, nbytes), axis=1, count=size, bitorder="little")
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return tuple((weights @ bits).tolist())
+
+
+@lru_cache(maxsize=1 << 12)
+def mask_lines(mask: int) -> tuple[int, ...]:
+    """The lines a line mask marks, lowest first."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 def equivalent(c1: Circuit, c2: Circuit) -> bool:

@@ -1,12 +1,20 @@
 """Common-target optimization.
 
 A maximal run of gates sharing a target line realizes, on that target, the
-XOR of its gates' control functions. That function over the other v = n-1
-lines is a Karnaugh map whose 1-cells mark assignments flipping the target an
-odd number of times. Re-synthesis picks a set of cubes (subcubes of the map)
-whose XOR equals the map -- optionally the complemented map plus a trailing
-NOT -- and emits one Toffoli gate per cube, keeping the result only when it
-is strictly cheaper.
+XOR of its gates' control functions. That function depends only on the
+window's support -- the union of its gates' control lines, v of them -- and
+over those lines it is a Karnaugh map whose 1-cells mark assignments flipping
+the target an odd number of times. Re-synthesis picks a set of cubes
+(subcubes of the map) whose XOR equals the map -- optionally the complemented
+map plus a trailing NOT -- and emits one Toffoli gate per cube, keeping the
+result only when it is strictly cheaper. Cubes are priced as gates of the
+whole width-n circuit. A window without controls is a NOT parity.
+
+Restricting the map to the support loses nothing: setting an out-of-support
+line to 0 in any cover drops the cubes with its positive literal and removes
+its negative literals, and removing a control never raises a gate's cost. So
+an optimal cover over all n-1 other lines never uses a line outside the
+support.
 
 Cover rules: every 1-cell is covered an odd number of times, every 0-cell an
 even number of times, cube sizes are powers of two. The search minimizes the
@@ -18,21 +26,29 @@ cubes, edge weight = the cube's gate cost. Viewing the 2^(2^v) table as an
 array with one axis of length 2 per cell, XOR-ing a cube's cell mask into the
 index reverses that cube's axes, so one edge relaxes the whole table as
 `min(table, flipped table + weight)`; rounds repeat until nothing changes.
+A table depends on n only through the costs of its cubes, and the cost table
+is not monotone in n (a 4-control gate costs 29 at n = 5, 56 at n = 6 and 26
+from n = 7 on), so tables are keyed by that cost profile: seven tables serve
+every width. Each keeps its (up to 2^16) distances as an `array('q')`: 8
+bytes an entry, where a list of Python ints takes 40.
 
 Larger maps use greedy peeling of the highest uncovered cell plus pairwise
 cube merging. The peel candidates are the cubes whose highest cell is that
 cell (free variables drawn from its 1-bits); each is ranked on its cell mask
 and cost alone, by integer arithmetic, and only the winner becomes a Cube.
+Two cubes merge when their XOR is one cube, which their (care, value) masks
+decide without building cells.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .core import Circuit, Gate, commutes, mct
+from .core import Circuit, Gate, commutes, mask_lines, mct
 from .cost import gate_cost, mct_cost
 
 _WEIGHT_CUBE = 1 << 12   # cube-count tie-break field
@@ -49,7 +65,8 @@ class Window:
     """A contiguous run of same-target gates inside a (rearranged) circuit."""
 
     target: int
-    var_order: tuple[int, ...]       # the other n-1 lines, index order
+    width: int                       # n, the circuit's line count
+    var_order: tuple[int, ...]       # support: the gates' control lines, index order
     gates: tuple[Gate, ...]
 
 
@@ -59,16 +76,23 @@ class Kmap:
 
     cells is a bitmask: bit i = value of cell i, where cell indices assign
     var_order[0] the most significant bit (variable j is cell bit vars-1-j).
+    width is the line count n of the circuit whose gates the cubes become;
+    it defaults to vars + 1, a map over every line but the target.
     """
 
     vars: int
     cells: int
+    width: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.vars < 0:
             raise ValueError(f"a map needs vars >= 0, got {self.vars}")
         if self.cells < 0 or self.cells.bit_length() > 1 << self.vars:
             raise ValueError(f"cells out of range for a {self.vars}-variable map")
+        if self.width is None:
+            object.__setattr__(self, "width", self.vars + 1)
+        if self.width <= self.vars:
+            raise ValueError(f"a {self.vars}-variable map needs width > {self.vars}")
 
 
 @dataclass(frozen=True)
@@ -103,14 +127,15 @@ class Cover:
     inverted: bool = False
 
 
-def cube_cost(cube: Cube, v: int) -> int:
-    """Quantum cost of the gate this cube emits in a width v+1 circuit."""
-    return mct_cost(cube.care.bit_count(), cube.value == 0, v + 1)
+def cube_cost(cube: Cube, n: int) -> int:
+    """Quantum cost of the gate this cube emits in a width-n circuit."""
+    return mct_cost(cube.care.bit_count(), cube.value == 0, n)
 
 
 def cover_cost(cv: Cover, v: int) -> int:
-    """Total emitted quantum cost, including the trailing NOT when inverted."""
-    return sum(cube_cost(q, v) for q in cv.cubes) + (1 if cv.inverted else 0)
+    """Total emitted quantum cost of a cover of a v-variable map in a width
+    v+1 circuit, including the trailing NOT when inverted."""
+    return sum(cube_cost(q, v + 1) for q in cv.cubes) + (1 if cv.inverted else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +151,6 @@ def cluster_common_targets(c: Circuit) -> tuple[Circuit, list[Window]]:
     gates = list(c.gates)
     i = 0
     windows: list[Window] = []
-    var_orders = {t: tuple(x for x in range(c.width) if x != t) for t in range(c.width)}
     while i < len(gates):
         t = gates[i].target
         end = i + 1
@@ -138,7 +162,11 @@ def cluster_common_targets(c: Circuit) -> tuple[Circuit, list[Window]]:
                 gates.insert(end, g)
                 end += 1
             j += 1
-        windows.append(Window(t, var_orders[t], tuple(gates[i:end])))
+        run = tuple(gates[i:end])
+        support = 0
+        for g in run:
+            support |= g.pos | g.neg
+        windows.append(Window(t, c.width, mask_lines(support), run))
         i = end
     return c.with_gates(gates), windows
 
@@ -154,7 +182,7 @@ def build_kmap(w: Window) -> Kmap:
                 care |= 1 << (v - 1 - j)
                 value |= (g.pos >> line & 1) << (v - 1 - j)
         cells ^= Cube(care, value).mask(v)
-    return Kmap(v, cells)
+    return Kmap(v, cells, w.width)
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +205,30 @@ def _all_cubes(v: int) -> list[Cube]:
     return cubes
 
 
-def _cube_weight(cube: Cube, v: int) -> int:
+def _cube_weight(cube: Cube, n: int) -> int:
     # lexicographic (cost, cubes, literals) packed into one integer
-    return cube_cost(cube, v) * _WEIGHT_COST + _WEIGHT_CUBE + cube.care.bit_count()
+    return cube_cost(cube, n) * _WEIGHT_COST + _WEIGHT_CUBE + cube.care.bit_count()
 
 
 @lru_cache(maxsize=None)
-def _exact_tables(v: int):
-    """Min packed weight of a cover for every possible v-variable map."""
+def _exact_tables(v: int, n: int):
+    """The exact table for v-variable maps at width n, shared by every width
+    whose cubes cost the same: keyed by the (mixed, all-negative) cube cost
+    per literal count 0..v."""
+    return _relaxed_table(tuple((mct_cost(m, False, n), mct_cost(m, True, n))
+                                for m in range(v + 1)))
+
+
+@lru_cache(maxsize=None)
+def _relaxed_table(profile: tuple[tuple[int, int], ...]):
+    """Min packed weight of a cover for every possible v-variable map, with
+    v = len(profile) - 1 and cubes priced by the profile."""
+    v = len(profile) - 1
     cubes = _all_cubes(v)
-    edges = [(q.mask(v), _cube_weight(q, v)) for q in cubes]
+    edges = []
+    for q in cubes:
+        m = q.care.bit_count()
+        edges.append((q.mask(v), profile[m][q.value == 0] * _WEIGHT_COST + _WEIGHT_CUBE + m))
     cells = 1 << v
     dist = np.full(1 << cells, 1 << 60, dtype=np.int64)
     dist[0] = 0
@@ -197,11 +239,11 @@ def _exact_tables(v: int):
             axes = tuple(k for k in range(cells) if mask >> (cells - 1 - k) & 1)
             np.minimum(grid, np.flip(grid, axes) + w, out=grid)
         if np.array_equal(before, dist):
-            return cubes, edges, dist.tolist()
+            return cubes, edges, array("q", dist.tobytes())
 
 
-def _exact_solve(v: int, target: int) -> tuple[list[Cube], int]:
-    cubes, edges, dist = _exact_tables(v)
+def _exact_solve(v: int, n: int, target: int) -> tuple[list[Cube], int]:
+    cubes, edges, dist = _exact_tables(v, n)
     out: list[Cube] = []
     m = target
     while m:
@@ -219,24 +261,25 @@ def _exact_solve(v: int, target: int) -> tuple[list[Cube], int]:
 # heuristic minimization: peel the highest uncovered cell
 
 
-def _cube_from_mask(v: int, m: int) -> Cube | None:
-    """The unique cube covering exactly the cells of m, if one exists."""
-    if m == 0:
+def _xor_cube(a: Cube, b: Cube) -> Cube | None:
+    """The cube covering exactly the cells of a XOR b, if one exists. Two
+    distinct cubes XOR to a cube only when both pin the same variables and
+    differ in the value of one (the XOR frees it), or when one is the other
+    with one more variable pinned (the XOR is the other half)."""
+    diff = a.value ^ b.value
+    if a.care == b.care:
+        if diff and not diff & (diff - 1):
+            return Cube(a.care ^ diff, a.value & ~diff)
         return None
-    base = (m & -m).bit_length() - 1
-    span = 0  # variables on which the cells differ from the lowest one
-    x = m
-    while x:
-        low = x & -x
-        span |= (low.bit_length() - 1) ^ base
-        x ^= low
-    if m.bit_count() != 1 << span.bit_count():
+    if b.care.bit_count() < a.care.bit_count():
+        a, b = b, a
+    extra = a.care ^ b.care
+    if a.care & ~b.care or extra & (extra - 1) or diff & a.care:
         return None
-    care = ((1 << v) - 1) & ~span
-    return Cube(care, base & care)
+    return Cube(b.care, b.value ^ extra)
 
 
-def _greedy_solve(v: int, target: int) -> tuple[list[Cube], int]:
+def _greedy_solve(v: int, n: int, target: int) -> tuple[list[Cube], int]:
     residual = target
     picked: list[Cube] = []
     while residual:
@@ -248,7 +291,7 @@ def _greedy_solve(v: int, target: int) -> tuple[list[Cube], int]:
         sizes = range(len(ones) + 1) if len(ones) <= 12 else (0, 1, len(ones))
         best = None
         for r in sizes:
-            cost = mct_cost(v - r, r == len(ones), v + 1)  # same for every r-subset
+            cost = mct_cost(v - r, r == len(ones), n)  # same for every r-subset
             for free in combinations(ones, r):
                 m = 1 << top
                 for b in free:
@@ -266,20 +309,19 @@ def _greedy_solve(v: int, target: int) -> tuple[list[Cube], int]:
     while improved:
         improved = False
         for a, b in combinations(range(len(picked)), 2):
-            merged_mask = picked[a].mask(v) ^ picked[b].mask(v)
-            if merged_mask == 0:
+            if picked[a] == picked[b]:
                 picked = [q for i, q in enumerate(picked) if i not in (a, b)]
                 improved = True
                 break
-            merged = _cube_from_mask(v, merged_mask)
-            if merged is not None and cube_cost(merged, v) < cube_cost(
-                picked[a], v
-            ) + cube_cost(picked[b], v):
+            merged = _xor_cube(picked[a], picked[b])
+            if merged is not None and cube_cost(merged, n) < cube_cost(
+                picked[a], n
+            ) + cube_cost(picked[b], n):
                 picked = [q for i, q in enumerate(picked) if i not in (a, b)]
                 picked.append(merged)
                 improved = True
                 break
-    weight = sum(_cube_weight(q, v) for q in picked)
+    weight = sum(_cube_weight(q, n) for q in picked)
     return picked, weight
 
 
@@ -287,15 +329,16 @@ def minimize_cover(k: Kmap, exact_threshold: int = 4) -> Cover:
     """Cheapest cover found for the map, trying both the direct and the
     complemented (inverted + trailing NOT) realization.
 
-    Exact for k.vars <= min(exact_threshold, 4); greedy above that.
+    Exact for k.vars <= min(exact_threshold, 4); greedy above that. Cubes
+    are priced as gates of a k.width-line circuit.
     """
-    v = k.vars
+    v, n = k.vars, k.width
     if v < 1:
-        raise ValueError("maps need at least one variable; width-1 runs are a NOT parity")
+        raise ValueError("maps need at least one variable; runs without controls are a NOT parity")
     full = (1 << (1 << v)) - 1
     solve = _exact_solve if v <= min(exact_threshold, _EXACT_HARD_CAP) else _greedy_solve
-    direct, w_direct = solve(v, k.cells)
-    inv, w_inv = solve(v, k.cells ^ full)
+    direct, w_direct = solve(v, n, k.cells)
+    inv, w_inv = solve(v, n, k.cells ^ full)
     w_inv += _WEIGHT_COST + _WEIGHT_CUBE  # the trailing NOT
     if w_inv < w_direct:
         return Cover(tuple(inv), inverted=True)
@@ -327,10 +370,10 @@ def ctr_optimize(c: Circuit) -> Circuit:
     n = c.width
     out: list[Gate] = []
     for w in windows:
-        if n == 1:
-            new = (mct([], w.target),) * (len(w.gates) % 2)
-        else:
+        if w.var_order:
             new = tuple(cover_to_gates(minimize_cover(build_kmap(w)), w))
+        else:  # NOTs only
+            new = (mct([], w.target),) * (len(w.gates) % 2)
         old_cost = sum(gate_cost(g, n) for g in w.gates)
         new_cost = sum(gate_cost(g, n) for g in new)
         out.extend(new if new_cost < old_cost else w.gates)

@@ -11,6 +11,7 @@ from itertools import combinations
 
 from revopt.core import Circuit, Gate, mct
 from revopt.cost import gate_cost
+from revopt.ctr import Cube
 
 
 def naive_apply_gate(g: Gate, bits: list[int]) -> list[int]:
@@ -156,6 +157,17 @@ def random_circuit(rng: random.Random, max_width: int = 8, max_gates: int = 40) 
     return Circuit(n, tuple(gates))
 
 
+def sparse_circuit(rng: random.Random, n: int, gates: int, max_controls: int) -> Circuit:
+    """`gates` gates on exactly n lines, each with at most max_controls controls."""
+    out = []
+    for _ in range(gates):
+        t = rng.randrange(n)
+        others = [x for x in range(n) if x != t]
+        m = rng.randint(0, min(max_controls, len(others)))
+        out.append(mct([(x, rng.random() < 0.5) for x in rng.sample(others, m)], t))
+    return Circuit(n, tuple(out))
+
+
 def all_gates(n: int) -> list[Gate]:
     """Every gate shape over n lines: each non-target line absent, positive,
     or negative."""
@@ -170,3 +182,21 @@ def all_gates(n: int) -> list[Gate]:
         for combo in choices:
             out.append(mct([c for c in combo if c is not None], t))
     return out
+
+
+def cube_from_cells(v: int, m: int) -> Cube | None:
+    """The cube covering exactly the cells of m in a v-variable map, or None,
+    by walking every set cell of m: the cells must all agree with the lowest
+    one outside the variables on which any of them differs from it, and
+    there must be 2^(number of such variables) of them."""
+    if m == 0:
+        return None
+    cells = [cell for cell in range(1 << v) if m >> cell & 1]
+    base = cells[0]
+    span = 0
+    for cell in cells:
+        span |= cell ^ base
+    if len(cells) != 1 << bin(span).count("1"):
+        return None
+    care = ((1 << v) - 1) & ~span
+    return Cube(care, base & care)

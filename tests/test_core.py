@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revopt.core import (
+    MAX_SIM_WIDTH,
     Circuit,
     Gate,
     WidthLimitError,
@@ -18,7 +19,7 @@ from revopt.core import (
     mct,
     simulate,
 )
-from oracles import all_gates, naive_simulate, random_circuit
+from oracles import all_gates, naive_simulate, random_circuit, sparse_circuit
 
 
 def test_gate_validation():
@@ -71,6 +72,23 @@ def test_simulate_matches_naive_oracle():
     for _ in range(30):
         c = random_circuit(rng, max_width=6, max_gates=15)
         assert simulate(c) == naive_simulate(c)
+    # every width up to the limit (below 3 lines a bit plane is less than a
+    # byte); wide circuits are sparse to keep the oracle quick
+    for n in range(1, MAX_SIM_WIDTH + 1):
+        for _ in range(4 if n <= 8 else 1):
+            c = sparse_circuit(rng, n, gates=12 if n <= 8 else 5, max_controls=n - 1 if n <= 8 else 3)
+            assert simulate(c) == naive_simulate(c), c
+
+
+def test_equivalent_and_spec_at_the_width_limit():
+    n = MAX_SIM_WIDTH
+    c = sparse_circuit(random.Random(3), n, gates=5, max_controls=3)
+    perm = naive_simulate(c)
+    assert matches_spec(c, perm)
+    assert equivalent(c, c.with_gates(c.gates + (mct([0], 9), mct([0], 9))))
+    flipped = c.append(mct([(0, False), 4, 11], n - 1))
+    assert not equivalent(c, flipped)
+    assert not matches_spec(flipped, perm)
 
 
 def test_simulate_width_limit():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,14 +10,23 @@ from revopt.ctr import (
     Cover,
     Cube,
     Kmap,
+    _all_cubes,
+    _exact_tables,
+    _xor_cube,
     build_kmap,
     cluster_common_targets,
     cover_cost,
     cover_to_gates,
     ctr_optimize,
+    cube_cost,
     minimize_cover,
 )
-from oracles import oracle_min_cost_by_enumeration, oracle_min_cost_layered, random_circuit
+from oracles import (
+    cube_from_cells,
+    oracle_min_cost_by_enumeration,
+    oracle_min_cost_layered,
+    random_circuit,
+)
 
 
 def kmap_of_cover(cv: Cover, v: int) -> int:
@@ -48,7 +58,10 @@ def test_kmap_rejects_out_of_range_input():
     for vars_, cells in ((5, -3), (2, -1), (2, 16), (-1, 0)):
         with pytest.raises(ValueError):
             Kmap(vars_, cells)
+    with pytest.raises(ValueError):
+        Kmap(3, 1, 3)  # three control lines and a target need four lines
     assert Kmap(2, 15).cells == 15 and Kmap(0, 1).cells == 1
+    assert Kmap(2, 15).width == 3 and Kmap(2, 15, 9).width == 9
 
 
 def test_extract_windows_simple():
@@ -92,11 +105,32 @@ def test_build_kmap_xor_of_cubes():
     assert k.vars == 2
     assert k.cells == 0b0110  # a XOR b: cells 01 and 10
 
+    # a lone NOT has no control lines: a map over no variables, one 1-cell
     w = cluster_common_targets(Circuit(3).x(2))[1][0]
-    assert build_kmap(w).cells == 0b1111
+    assert w.var_order == () and build_kmap(w) == Kmap(0, 1, 3)
 
     w = cluster_common_targets(Circuit(3).cx(0, 2).cx(0, 2))[1][0]
-    assert build_kmap(w).cells == 0
+    assert build_kmap(w) == Kmap(1, 0, 3)
+
+    # the map spans the window's support, not every other line
+    w = cluster_common_targets(Circuit(6).cx(4, 2).x(2).mcx([(1, False), 4], 2))[1][0]
+    assert w.var_order == (1, 4)
+    # e XOR 1 XOR (NOT b AND e) over cells (b, e) is 0 only at b = e = 1
+    assert build_kmap(w) == Kmap(2, 0b0111, 6)
+
+
+def test_build_kmap_vars_is_support_size():
+    rng = random.Random(4)
+    for _ in range(60):
+        c = random_circuit(rng, max_width=9, max_gates=10)
+        for w in cluster_common_targets(c)[1]:
+            support = 0
+            for g in w.gates:
+                support |= g.controls
+            k = build_kmap(w)
+            assert k.vars == support.bit_count() == len(w.var_order)
+            assert k.width == c.width
+            assert w.var_order == tuple(sorted(w.var_order))
 
 
 def test_build_kmap_matches_window_simulation():
@@ -199,6 +233,65 @@ def test_greedy_covers_pinned():
     )
 
 
+def test_xor_cube_matches_cell_walk():
+    # every ordered pair of cubes, identical ones included
+    for v in range(1, 5):
+        cubes = _all_cubes(v)
+        for a in cubes:
+            for b in cubes:
+                want = cube_from_cells(v, a.mask(v) ^ b.mask(v))
+                assert _xor_cube(a, b) == want, (v, a, b)
+
+
+def _cost_at(cv: Cover, n: int) -> int:
+    return sum(cube_cost(q, n) for q in cv.cubes) + cv.inverted
+
+
+def _spread(cells: int, s: int, positions: list[int], v: int) -> int:
+    """A map over s variables as a v-variable map that ignores the others;
+    positions[j] is the full-map variable of support variable j."""
+    out = 0
+    for cell in range(1 << v):
+        sub = 0
+        for j, var in enumerate(positions):
+            sub |= (cell >> (v - 1 - var) & 1) << (s - 1 - j)
+        out |= (cells >> sub & 1) << cell
+    return out
+
+
+def test_support_map_costs_the_same_as_the_full_map():
+    # For every width n = 2..5, every proper subset S of the other n-1 lines
+    # and every function over S: the best cover over S costs the same as the
+    # best cover over all n-1 lines, both priced at width n. (An empty S is
+    # a NOT parity: cost 0 or 1.)
+    checked = 0
+    for n in range(2, 6):
+        v = n - 1
+        for s in range(v):
+            for positions in combinations(range(v), s):
+                for cells in range(1 << (1 << s)):
+                    full = minimize_cover(Kmap(v, _spread(cells, s, list(positions), v), n))
+                    want = cover_cost(full, v)  # a full map is priced at width v + 1 = n
+                    got = _cost_at(minimize_cover(Kmap(s, cells, n)), n) if s else cells
+                    assert got == want, (n, positions, cells)
+                    checked += 1
+    # per n: the sum over s of C(n-1, s) supports times 2^(2^s) functions
+    assert checked == 2 + (2 + 8) + (2 + 12 + 48) + (2 + 16 + 96 + 1024)
+
+
+def test_kmap_width_prices_the_cover():
+    # one 4-control minterm: its gate costs 29 at width 5, 56 at 6 and 26
+    # from 7 on, so the exact table depends on the width
+    cells = 1 << 15
+    for n, cost in ((5, 29), (6, 56), (7, 26), (12, 26)):
+        cv = minimize_cover(Kmap(4, cells, n))
+        assert cv == Cover((Cube(0b1111, 0b1111),))
+        assert _cost_at(cv, n) == cost
+    # widths whose cubes cost the same share a table: seven serve them all
+    tables = {id(_exact_tables(v, n)) for n in range(2, 40) for v in range(1, min(n, 5))}
+    assert len(tables) == 7
+
+
 def test_exact_matches_enumeration_oracle_v2():
     for cells in range(16):
         cv = minimize_cover(Kmap(2, cells))
@@ -227,9 +320,10 @@ def test_cover_to_gates():
     assert cover_to_gates(full, w) == [mct([], 2)]
 
     inv = Cover((Cube(0b111, 0b111),), inverted=True)
-    w4 = cluster_common_targets(Circuit(4).x(3))[1][0]
+    w4 = cluster_common_targets(Circuit(5).mcx([0, 2], 3).mcx([(4, False)], 3))[1][0]
+    assert w4.var_order == (0, 2, 4)
     gates = cover_to_gates(inv, w4)
-    assert gates == [mct([0, 1, 2], 3), mct([], 3)]
+    assert gates == [mct([0, 2, 4], 3), mct([], 3)]
 
 
 def test_ctr_optimize_example_pair():

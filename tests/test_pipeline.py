@@ -13,7 +13,7 @@ from revopt.pipeline import (
     improvement_percent_rounded,
     optimize,
 )
-from oracles import random_circuit
+from oracles import random_circuit, sparse_circuit
 
 
 def test_optimize_not_sandwich_then_ctr():
@@ -105,6 +105,22 @@ def test_optimize_skips_verification_when_asked():
     assert not report.equivalence_checked
 
 
+def test_optimize_wide_circuit_with_one_gate():
+    # windows are solved over their own control lines, so a width far beyond
+    # the simulation limit costs nothing; it is just not simulated
+    out, report = optimize(Circuit(20).cx(3, 17))
+    assert out.gates == (mct([3], 17),)
+    assert (report.cost_after, report.equivalence_checked) == (1, False)
+
+
+def test_optimize_sparse_sixteen_lines_verified():
+    c = sparse_circuit(random.Random(16), 16, gates=40, max_controls=3)
+    out, report = optimize(c)
+    assert report.equivalence_checked
+    assert report.cost_after == circuit_cost(out) <= circuit_cost(c)
+    assert simulate(out) == simulate(c)
+
+
 def test_improvement_percent():
     assert improvement_percent(214, 136) == Fraction(7800, 214)
     assert improvement_percent_rounded(214, 136) == 36
@@ -127,7 +143,7 @@ def test_optimizer_output_pinned():
         cost += report.cost_after
         gates += report.gates_after
         digest.update(write_circuit(out).encode())
-    assert (cost, gates) == (25390, 2389)
+    assert (cost, gates) == (25302, 2393)
     assert digest.hexdigest() == (
-        "2e2e0df1c89d41bc82ae3637f7b54033b8ae6a4121134f6dd58d2f964d004a62"
+        "f8d56fc5fb82319a6f549770dc7cc816cd0d90475e1adb7694642788b4c1aea8"
     )
