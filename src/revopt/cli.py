@@ -90,13 +90,11 @@ def _parse_rules(spec: str) -> frozenset[str]:
     names = [s.strip().upper() for s in spec.split(",") if s.strip()]
     if not names:
         raise ValueError("no rules given")
-    if "ALL" in names:
-        return ALL_RULES
     rules = frozenset(names)
-    unknown = rules - ALL_RULES
+    unknown = rules - ALL_RULES - {"ALL"}
     if unknown:
         raise ValueError(f"unknown rules: {','.join(sorted(unknown)).lower()}")
-    return rules
+    return ALL_RULES if "ALL" in rules else rules
 
 
 def _cmd_optimize(args) -> int:

@@ -111,8 +111,8 @@ class Circuit:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("circuit width must be >= 1")
-        if self.names is None:
-            object.__setattr__(self, "names", _default_names(self.width))
+        object.__setattr__(self, "names", _default_names(self.width) if self.names is None
+                           else tuple(self.names))
         if len(self.names) != self.width or len(set(self.names)) != self.width:
             raise ValueError("line names must be unique, one per line")
         if any(map(_bad_name, self.names)):

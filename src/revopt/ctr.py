@@ -26,6 +26,9 @@ cubes, edge weight = the cube's gate cost. Viewing the 2^(2^v) table as an
 array with one axis of length 2 per cell, XOR-ing a cube's cell mask into the
 index reverses that cube's axes, so one edge relaxes the whole table as
 `min(table, flipped table + weight)`; rounds repeat until nothing changes.
+The exact path solves the map alone, never its complement: the all-free
+cube is an edge of every table and is a NOT on the target, priced exactly as
+the complement's trailing NOT, so dist[m] <= dist[m ^ full] + weight(NOT).
 A table depends on n only through the costs of its cubes, and the cost table
 is not monotone in n (a 4-control gate costs 29 at n = 5, 56 at n = 6 and 26
 from n = 7 on), so tables are keyed by that cost profile: seven tables serve
@@ -242,7 +245,7 @@ def _relaxed_table(profile: tuple[tuple[int, int], ...]):
             return cubes, edges, array("q", dist.tobytes())
 
 
-def _exact_solve(v: int, n: int, target: int) -> tuple[list[Cube], int]:
+def _exact_solve(v: int, n: int, target: int) -> list[Cube]:
     cubes, edges, dist = _exact_tables(v, n)
     out: list[Cube] = []
     m = target
@@ -254,7 +257,7 @@ def _exact_solve(v: int, n: int, target: int) -> tuple[list[Cube], int]:
                 break
         else:  # pragma: no cover - dist table always admits a step
             raise RuntimeError("cover reconstruction failed")
-    return out, dist[target]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +329,23 @@ def _greedy_solve(v: int, n: int, target: int) -> tuple[list[Cube], int]:
 
 
 def minimize_cover(k: Kmap, exact_threshold: int = 4) -> Cover:
-    """Cheapest cover found for the map, trying both the direct and the
-    complemented (inverted + trailing NOT) realization.
+    """Cheapest cover found for the map.
 
-    Exact for k.vars <= min(exact_threshold, 4); greedy above that. Cubes
-    are priced as gates of a k.width-line circuit.
+    Exact for k.vars <= min(exact_threshold, 4), on the map itself: every
+    exact table has the all-free cube, a NOT on the target, as an edge, so
+    the complement's cover plus a trailing NOT is never cheaper than the
+    direct one. Greedy above that, trying both the direct and the
+    complemented (inverted + trailing NOT) realization. Cubes are priced as
+    gates of a k.width-line circuit.
     """
     v, n = k.vars, k.width
     if v < 1:
         raise ValueError("maps need at least one variable; runs without controls are a NOT parity")
+    if v <= min(exact_threshold, _EXACT_HARD_CAP):
+        return Cover(tuple(_exact_solve(v, n, k.cells)))
     full = (1 << (1 << v)) - 1
-    solve = _exact_solve if v <= min(exact_threshold, _EXACT_HARD_CAP) else _greedy_solve
-    direct, w_direct = solve(v, n, k.cells)
-    inv, w_inv = solve(v, n, k.cells ^ full)
+    direct, w_direct = _greedy_solve(v, n, k.cells)
+    inv, w_inv = _greedy_solve(v, n, k.cells ^ full)
     w_inv += _WEIGHT_COST + _WEIGHT_CUBE  # the trailing NOT
     if w_inv < w_direct:
         return Cover(tuple(inv), inverted=True)

@@ -9,10 +9,14 @@ RewriteResult (replacement gates for a small window) or None, and
 Each rule the pipeline runs has one whole-circuit sweep here, named after
 its `--rules` name:
 
-    pr             not_cancel_sweep (cancel_not_pairs, in the better direction)
+    pr             not_cancel_sweep (cancel_not_pairs right, else left)
     gpr            gpr_sweep
     rctr           rctr_sweep
     delete, move   delete_sweep (move: slide over commuting gates)
+
+`cancel_not_pairs` prices its routing as it goes and returns it only when
+it lowers (cost, gate count), the test the pipeline commits by; otherwise it
+returns its input, which is how `not_cancel_sweep` knows to try the left.
 
 (`ctr` is `ctr.ctr_optimize`.) Every rewrite preserves the simulated
 permutation; the test suite checks this exhaustively at small widths.
@@ -46,63 +50,52 @@ def _window_delta(c: Circuit, r: RewriteResult) -> int:
             - sum(gate_cost(g, n) for g in c.gates[start:end]))
 
 
-def _not_delta(c: Circuit, routed: Circuit) -> int:
-    """Cost change from c to `routed`, c with its NOTs moved by
-    cancel_not_pairs: the other gates keep their order and are passed through
-    as the same objects unless a control was toggled, so only toggled gates
-    are priced."""
-    old = [g for g in c.gates if g.arity]
-    new = [g for g in routed.gates if g.arity]
-    delta = NOT_COST * (len(routed.gates) - len(new) - (len(c.gates) - len(old)))
-    for a, b in zip(old, new):
-        if a is not b:
-            delta += gate_cost(b, c.width) - gate_cost(a, c.width)
-    return delta
-
-
 def cancel_not_pairs(c: Circuit, direction: str = "right") -> Circuit:
     """Route every NOT toward one end of the circuit and cancel pairs.
 
     Sweeps once in `direction`, carrying the parity of pending NOTs per line:
     each non-NOT gate passed has the polarity of its controls on odd-parity
     lines toggled (the pass rule); leftover odd parities re-emit one NOT at
-    the sweep's end. The result is kept only if its cost does not increase
-    (polarity toggles can make gates dearer).
+    the sweep's end. The cost change is added up while routing: -1 per NOT
+    consumed, +1 per NOT re-emitted, and the price change of each toggled
+    gate. The routed circuit is returned only when it lowers (cost, gate
+    count), the pipeline's own commit test; otherwise c itself is returned.
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    n = c.width
     parity = 0  # mask of lines with an odd number of pending NOTs
+    delta = 0
     body: list[Gate] = []
     order = c.gates if direction == "right" else reversed(c.gates)
     for g in order:
         if g.arity == 0:
             parity ^= 1 << g.target
+            delta -= NOT_COST
             continue
         flip = g.controls & parity
-        body.append(g.toggled(flip) if flip else g)
+        if flip:
+            toggled = g.toggled(flip)
+            delta += gate_cost(toggled, n) - gate_cost(g, n)
+            g = toggled
+        body.append(g)
     leftovers = [mct([], line) for line in range(parity.bit_length()) if parity >> line & 1]
+    delta += NOT_COST * len(leftovers)
     if direction == "right":
         new_gates = body + leftovers
     else:
         body.reverse()
         new_gates = leftovers + body
-    candidate = c.with_gates(new_gates)
-    if _not_delta(c, candidate) <= 0:
-        return candidate
+    if (delta, len(new_gates)) < (0, len(c.gates)):
+        return c.with_gates(new_gates)
     return c
 
 
 def not_cancel_sweep(c: Circuit) -> Circuit:
-    """NOT passing: cancel_not_pairs to the right; to the left instead when
-    the right sweep changes neither cost nor gate count and the left one
-    lowers (cost, gate count)."""
+    """NOT passing: cancel_not_pairs to the right, or to the left when the
+    right routing does not lower (cost, gate count)."""
     out = cancel_not_pairs(c, "right")
-    out_delta = _not_delta(c, out)
-    if out_delta >= 0 and len(out.gates) >= len(c.gates):
-        left = cancel_not_pairs(c, "left")
-        if (_not_delta(c, left), len(left.gates)) < (out_delta, len(out.gates)):
-            return left
-    return out
+    return out if out is not c else cancel_not_pairs(c, "left")
 
 
 def _gpr_match(g1: Gate, g2: Gate) -> tuple[Gate, Gate, bool] | None:
@@ -131,25 +124,25 @@ def apply_gpr(c: Circuit, i: int) -> RewriteResult | None:
     return RewriteResult(new, (i, i + 2))
 
 
-def _same_target_pairs(c: Circuit, i: int) -> int:
-    """Adjacent same-target pairs among the gates at i-1 .. i+2."""
-    count = 0
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(c.gates) - 1 and c.gates[j].target == c.gates[j + 1].target:
-            count += 1
-    return count
+def _same_target_pairs(gates: tuple[Gate, ...]) -> int:
+    """Adjacent same-target pairs in a run of gates."""
+    return sum(a.target == b.target for a, b in zip(gates, gates[1:]))
 
 
 def gpr_sweep(c: Circuit) -> Circuit:
     """Apply generalized-pass swaps that either cut cost immediately or pull
-    same-target gates next to each other for the common-target pass."""
+    same-target gates next to each other for the common-target pass. A swap
+    is judged on the gates it touches and their two neighbours; only kept
+    swaps are spliced in."""
     for i in range(len(c.gates) - 1):
         r = apply_gpr(c, i)
         if r is None:
             continue
-        candidate = apply_rewrite(c, r)
-        if _window_delta(c, r) < 0 or _same_target_pairs(candidate, i) > _same_target_pairs(c, i):
-            c = candidate
+        lo = max(i - 1, 0)
+        before = c.gates[lo:i + 3]
+        after = c.gates[lo:i] + r.new_gates + c.gates[i + 2:i + 3]
+        if _window_delta(c, r) < 0 or _same_target_pairs(after) > _same_target_pairs(before):
+            c = apply_rewrite(c, r)
     return c
 
 

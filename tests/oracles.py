@@ -10,8 +10,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from revopt.core import Circuit, Gate, mct
-from revopt.cost import gate_cost
+from revopt.cost import circuit_cost, gate_cost
 from revopt.ctr import Cube
+from revopt.rules import apply_gpr, apply_rewrite
 
 
 def naive_apply_gate(g: Gate, bits: list[int]) -> list[int]:
@@ -200,3 +201,24 @@ def cube_from_cells(v: int, m: int) -> Cube | None:
         return None
     care = ((1 << v) - 1) & ~span
     return Cube(care, base & care)
+
+
+def gpr_sweep_by_candidates(c: Circuit) -> tuple[Circuit, list[int]]:
+    """The generalized-pass sweep decided on whole candidate circuits: each
+    matched swap (from the matcher under test) is applied and kept when the
+    candidate costs less, or has more adjacent same-target pairs among the
+    gates at i-1 .. i+2. Returns the result and the positions of kept swaps."""
+    def pairs(x: Circuit, i: int) -> int:
+        return sum(1 for j in (i - 1, i, i + 1)
+                   if 0 <= j < len(x.gates) - 1 and x.gates[j].target == x.gates[j + 1].target)
+
+    kept = []
+    for i in range(len(c.gates) - 1):
+        r = apply_gpr(c, i)
+        if r is None:
+            continue
+        candidate = apply_rewrite(c, r)
+        if circuit_cost(candidate) < circuit_cost(c) or pairs(candidate, i) > pairs(c, i):
+            c = candidate
+            kept.append(i)
+    return c, kept

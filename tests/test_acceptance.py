@@ -92,7 +92,7 @@ def test_criterion_3_not_sandwich():
 def test_criterion_4_rule_soundness_exhaustive():
     # counts only the instances where a rule fired
     started = time.time()
-    checked = 0
+    checked = nots = 0
     for n in (2, 3, 4):
         gates = all_gates(n)
         for g1, g2 in itertools.product(gates, gates):
@@ -106,20 +106,35 @@ def test_criterion_4_rule_soundness_exhaustive():
                 if r is not None:
                     assert simulate(apply_rewrite(c, r)) == base, (rule.__name__, g1, g2)
                     checked += 1
-            outs = [delete_sweep(c, MOVE_LOOKAHEAD)]
-            outs += [cancel_not_pairs(c, d) for d in ("right", "left")]
-            for out in outs:
+            out = delete_sweep(c, MOVE_LOOKAHEAD)
+            if out.gates != c.gates:
+                assert simulate(out) == base, (out, g1, g2)
+                checked += 1
+            for d in ("right", "left"):
+                out = cancel_not_pairs(c, d)
                 if out.gates != c.gates:
                     assert simulate(out) == base, (out, g1, g2)
                     checked += 1
+                    nots += 1
         for g in gates:
             c = Circuit(n, (g,))
             r = apply_rctr(c, 0)
             if r is not None:
                 assert simulate(apply_rewrite(c, r)) == simulate(c)
                 checked += 1
+            # NOT passing over every gate, on every line, in both directions:
+            # the two NOTs always cancel, so every sandwich is rewritten
+            for x in range(n):
+                c = Circuit(n, (mct([], x), g, mct([], x)))
+                for d in ("right", "left"):
+                    out = cancel_not_pairs(c, d)
+                    assert len(out.gates) == 1, (d, x, g)
+                    assert simulate(out) == simulate(c), (d, x, g)
+                    checked += 1
+                    nots += 1
     assert checked > 3000
-    _report(f"4 rule soundness, {checked} instances in {time.time()-started:.1f}s")
+    _report(f"4 rule soundness, {checked} instances ({nots} NOT passing) "
+            f"in {time.time()-started:.1f}s")
 
 
 def test_criterion_5_cover_exactness():

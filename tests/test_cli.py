@@ -139,7 +139,10 @@ def test_optimize_max_iter_one(ex1_file, tmp_path, capsys):
 
 
 def test_optimize_unknown_rule(ex1_file, capsys):
-    assert main(["optimize", ex1_file, "--rules", "nope"]) == 2
+    for spec in ("nope", "all,nope"):
+        assert main(["optimize", ex1_file, "--rules", spec]) == 2
+        captured = capsys.readouterr()
+        assert "unknown rules: nope" in captured.err and captured.out == ""
 
 
 def test_optimize_empty_rule_list(ex1_file, capsys):

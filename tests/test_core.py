@@ -139,6 +139,15 @@ def test_same_function():
     assert mct([], 0) != mct([], 1)
 
 
+def test_circuit_names_given_as_a_list_are_a_tuple():
+    gates = (mct([0], 1),)
+    listed = Circuit(2, gates, ["a", "b"])
+    assert listed.names == ("a", "b")
+    assert listed == Circuit(2, gates, ("a", "b"))
+    assert hash(listed) == hash(Circuit(2, gates, ("a", "b")))
+    assert listed.with_gates(()).names == ("a", "b")
+
+
 @st.composite
 def circuits(draw, max_width=5, max_gates=12):
     n = draw(st.integers(1, max_width))

@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from revopt.core import Circuit, mct, simulate
@@ -10,6 +11,8 @@ from revopt.ctr import (
     Cover,
     Cube,
     Kmap,
+    _WEIGHT_COST,
+    _WEIGHT_CUBE,
     _all_cubes,
     _exact_tables,
     _xor_cube,
@@ -290,6 +293,23 @@ def test_kmap_width_prices_the_cover():
     # widths whose cubes cost the same share a table: seven serve them all
     tables = {id(_exact_tables(v, n)) for n in range(2, 40) for v in range(1, min(n, 5))}
     assert len(tables) == 7
+
+
+def test_exact_covers_never_need_the_complement():
+    # the all-free cube is a NOT at the trailing NOT's weight, so no map's
+    # complement plus a NOT beats the map itself: minimize_cover solves
+    # exact maps once, direct
+    not_weight = _WEIGHT_COST + _WEIGHT_CUBE
+    checked = 0
+    for v in range(1, 5):
+        for n in range(v + 1, 12):
+            dist = np.frombuffer(_exact_tables(v, n)[2], dtype=np.int64)
+            # the index of m ^ full is full - m: the table reversed
+            assert (dist <= dist[::-1] + not_weight).all(), (v, n)
+            checked += len(dist)
+            cells = range(1 << (1 << v)) if v < 4 else random.Random(n).sample(range(1 << 16), 300)
+            assert not any(minimize_cover(Kmap(v, m, n)).inverted for m in cells), (v, n)
+    assert checked == 460_984
 
 
 def test_exact_matches_enumeration_oracle_v2():
