@@ -41,6 +41,12 @@ cell (free variables drawn from its 1-bits); each is ranked on its cell mask
 and cost alone, by integer arithmetic, and only the winner becomes a Cube.
 Two cubes merge when their XOR is one cube, which their (care, value) masks
 decide without building cells.
+
+A window's decision -- its kept replacement, or none -- depends only on the
+circuit width n and the window's gates, so `ctr_optimize` records it in a
+memo keyed by (n, window gates). The caller owns the memo: `optimize` makes
+one per call and drops it on return, so the fixpoint's later iterations,
+which meet mostly unchanged windows, solve each window once.
 """
 from __future__ import annotations
 
@@ -51,7 +57,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Circuit, Gate, commutes, mask_lines, mct
+from .core import Circuit, Gate, mask_lines, mct
 from .cost import gate_cost, mct_cost
 
 _WEIGHT_CUBE = 1 << 12   # cube-count tie-break field
@@ -148,22 +154,36 @@ def cover_cost(cv: Cover, v: int) -> int:
 def cluster_common_targets(c: Circuit) -> tuple[Circuit, list[Window]]:
     """Rearrange the circuit (moving rule only) to maximize same-target runs.
 
-    Returns the equivalent rearranged circuit and its complete left-to-right
-    partition into same-target windows (length-1 windows included).
+    Returns the equivalent rearranged circuit -- c itself when no gate
+    moved -- and its complete left-to-right partition into same-target
+    windows (length-1 windows included).
+
+    A gate on the run's target t moves back to the run when it commutes with
+    every gate it would slide over: none of their targets is its control (a
+    running mask of the skipped targets), and none of them has t as a
+    control. The first skipped gate controlled by t blocks every later move,
+    so the scan stops there.
     """
     gates = list(c.gates)
+    moved = False
     i = 0
     windows: list[Window] = []
     while i < len(gates):
         t = gates[i].target
         end = i + 1
         j = end
+        skipped = 0  # targets of the gates between the run and j
         while j < len(gates) and j - end <= MOVE_LOOKAHEAD:
             g = gates[j]
-            if g.target == t and all(commutes(gates[k], g) for k in range(end, j)):
+            if g.target == t and not g.controls & skipped:
                 del gates[j]
                 gates.insert(end, g)
+                moved |= j != end
                 end += 1
+            elif g.controls >> t & 1:
+                break
+            else:
+                skipped |= 1 << g.target
             j += 1
         run = tuple(gates[i:end])
         support = 0
@@ -171,7 +191,7 @@ def cluster_common_targets(c: Circuit) -> tuple[Circuit, list[Window]]:
             support |= g.pos | g.neg
         windows.append(Window(t, c.width, mask_lines(support), run))
         i = end
-    return c.with_gates(gates), windows
+    return (c.with_gates(gates) if moved else c), windows
 
 
 def build_kmap(w: Window) -> Kmap:
@@ -371,17 +391,36 @@ def cover_to_gates(cv: Cover, w: Window) -> list[Gate]:
     return gates
 
 
-def ctr_optimize(c: Circuit) -> Circuit:
-    """Re-synthesize every same-target window, keeping strict cost wins only."""
+def ctr_optimize(c: Circuit, memo: dict | None = None) -> Circuit:
+    """Re-synthesize every same-target window, keeping strict cost wins only.
+
+    memo maps (width, window gates) to the kept replacement, or None for a
+    window kept as it is; a caller passes one dict to calls on related
+    circuits so that each window is decided once. Returns the rearranged
+    circuit itself (c when nothing moved) when no window was replaced.
+    """
+    if memo is None:
+        memo = {}
     rearranged, windows = cluster_common_targets(c)
     n = c.width
     out: list[Gate] = []
+    replaced = False
     for w in windows:
-        if w.var_order:
-            new = tuple(cover_to_gates(minimize_cover(build_kmap(w)), w))
-        else:  # NOTs only
-            new = (mct([], w.target),) * (len(w.gates) % 2)
-        old_cost = sum(gate_cost(g, n) for g in w.gates)
-        new_cost = sum(gate_cost(g, n) for g in new)
-        out.extend(new if new_cost < old_cost else w.gates)
-    return rearranged.with_gates(out)
+        key = (n, w.gates)
+        if key in memo:
+            new = memo[key]
+        else:
+            if w.var_order:
+                new = tuple(cover_to_gates(minimize_cover(build_kmap(w)), w))
+            else:  # NOTs only
+                new = (mct([], w.target),) * (len(w.gates) % 2)
+            old_cost = sum(gate_cost(g, n) for g in w.gates)
+            if sum(gate_cost(g, n) for g in new) >= old_cost:
+                new = None
+            memo[key] = new
+        if new is None:
+            out.extend(w.gates)
+        else:
+            out.extend(new)
+            replaced = True
+    return rearranged.with_gates(out) if replaced else rearranged

@@ -39,6 +39,8 @@ def _strip(raw: str) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
+    """Parse circuit text; one leading UTF-8 byte-order mark is ignored."""
+    text = text.removeprefix("\ufeff")
     names: tuple[str, ...] | None = None
     index: dict[str, int] = {}
     gates: list[Gate] = []

@@ -9,7 +9,10 @@ A pass commits only if it lowers (cost, gate count): strictly lower cost, or
 the same cost with fewer gates. The generalized-pass sweep is guarded jointly
 with the common-target pass that follows it, since its swaps are
 cost-neutral on their own and only pay off by clustering same-target gates.
-Each pass's output is priced once, and that price is carried forward.
+A pass that changes nothing returns its input, which is not priced; any
+other output is priced once, and that price is carried forward. One
+`optimize` call keeps one common-target window memo (see `ctr_optimize`),
+so a window met again in a later pass or iteration is not solved again.
 
 The fixpoint stops after the first iteration that does not lower cost, even
 if that iteration committed passes that only removed gates.
@@ -87,10 +90,12 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
         equivalence_checked=False,
     )
 
+    memo: dict = {}
+
     def _gpr_ctr_pass(current: Circuit) -> Circuit:
         cand = gpr_sweep(current) if "GPR" in rules else current
         if "CTR" in rules:
-            cand = ctr_optimize(cand)
+            cand = ctr_optimize(cand, memo)
         return cand
 
     sequence: list = []
@@ -110,7 +115,11 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
         iter_start_cost = cost
         for name, fn in sequence:
             candidate = fn(current)
-            new_cost, gates = circuit_cost(candidate), len(current.gates)
+            gates = len(current.gates)
+            if candidate is current:
+                report.passes.append(PassDelta(name, cost, cost, gates, gates, False))
+                continue
+            new_cost = circuit_cost(candidate)
             if (new_cost, len(candidate.gates)) < (cost, gates):
                 report.passes.append(PassDelta(name, cost, new_cost, gates,
                                                len(candidate.gates), True))

@@ -17,6 +17,8 @@ its `--rules` name:
 `cancel_not_pairs` prices its routing as it goes and returns it only when
 it lowers (cost, gate count), the test the pipeline commits by; otherwise it
 returns its input, which is how `not_cancel_sweep` knows to try the left.
+Every sweep returns its input itself when it changes nothing, and the
+pipeline does not price such a pass.
 
 (`ctr` is `ctr.ctr_optimize`.) Every rewrite preserves the simulated
 permutation; the test suite checks this exhaustively at small widths.
@@ -186,7 +188,8 @@ def rctr_sweep(c: Circuit) -> Circuit:
 
 def delete_sweep(c: Circuit, lookahead: int) -> Circuit:
     """Cancel identical gate pairs; a gate slides over up to `lookahead`
-    gates it commutes with (the moving rule) to meet its twin."""
+    gates it commutes with (the moving rule) to meet its twin. Returns c
+    itself when nothing cancelled."""
     gates = list(c.gates)
     i = 0
     while i < len(gates):
@@ -204,4 +207,4 @@ def delete_sweep(c: Circuit, lookahead: int) -> Circuit:
             k += 1
         if not hit:
             i += 1
-    return c.with_gates(gates)
+    return c.with_gates(gates) if len(gates) < len(c.gates) else c

@@ -9,9 +9,9 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from revopt.core import Circuit, Gate, mct
+from revopt.core import Circuit, Gate, commutes, mct
 from revopt.cost import circuit_cost, gate_cost
-from revopt.ctr import Cube
+from revopt.ctr import MOVE_LOOKAHEAD, Cube
 from revopt.rules import apply_gpr, apply_rewrite
 
 
@@ -222,3 +222,27 @@ def gpr_sweep_by_candidates(c: Circuit) -> tuple[Circuit, list[int]]:
             c = candidate
             kept.append(i)
     return c, kept
+
+
+def cluster_by_pairwise_commutes(c: Circuit) -> tuple[tuple[Gate, ...], list[tuple[Gate, ...]]]:
+    """Same-target clustering by testing each candidate against every gate it
+    would slide over: a gate on the run's target up to MOVE_LOOKAHEAD gates
+    past the run joins it when it commutes with all of them. Returns the
+    rearranged gates and the runs, left to right."""
+    gates = list(c.gates)
+    runs = []
+    i = 0
+    while i < len(gates):
+        t = gates[i].target
+        end = i + 1
+        j = end
+        while j < len(gates) and j - end <= MOVE_LOOKAHEAD:
+            g = gates[j]
+            if g.target == t and all(commutes(gates[k], g) for k in range(end, j)):
+                del gates[j]
+                gates.insert(end, g)
+                end += 1
+            j += 1
+        runs.append(tuple(gates[i:end]))
+        i = end
+    return tuple(gates), runs

@@ -152,6 +152,13 @@ def test_optimize_empty_rule_list(ex1_file, capsys):
         assert "no rules" in captured.err and captured.out == ""
 
 
+def test_optimize_byte_order_mark_file(tmp_path, capsys):
+    p = tmp_path / "bom.tfc"
+    p.write_text("\ufeff" + EX1, encoding="utf-8")
+    assert main(["optimize", str(p)]) == 0
+    assert "cost_after=2 " in capsys.readouterr().out
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io as _io
     monkeypatch.setattr("sys.stdin", _io.StringIO(NOT_A))

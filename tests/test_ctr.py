@@ -5,9 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from revopt.core import Circuit, mct, simulate
+from revopt.core import Circuit, Gate, mct, simulate
 from revopt.cost import circuit_cost, gate_cost
 from revopt.ctr import (
+    MOVE_LOOKAHEAD,
     Cover,
     Cube,
     Kmap,
@@ -25,6 +26,7 @@ from revopt.ctr import (
     minimize_cover,
 )
 from oracles import (
+    cluster_by_pairwise_commutes,
     cube_from_cells,
     oracle_min_cost_by_enumeration,
     oracle_min_cost_layered,
@@ -99,6 +101,72 @@ def test_extract_windows_no_merge_across_targets():
     c = Circuit(3).mcx([0, 1], 2).cx(2, 1)
     ws = cluster_common_targets(c)[1]
     assert [w.target for w in ws] == [2, 1]
+
+
+def test_cluster_reach_is_move_lookahead():
+    # a gate on the run's target joins it from exactly MOVE_LOOKAHEAD gates on
+    for skipped, joins in ((MOVE_LOOKAHEAD, True), (MOVE_LOOKAHEAD + 1, False)):
+        # CNOTs between lines 1 and 2, alternating direction: none of them moves
+        middle = tuple(mct([2 - k % 2], 1 + k % 2) for k in range(skipped))
+        c = Circuit(3, (mct([], 0),) + middle + (mct([], 0),))
+        rearranged, ws = cluster_common_targets(c)
+        assert (len(ws[0].gates) == 2) == joins
+        assert (rearranged is c) == (not joins)  # nothing moved: the input itself
+
+
+def _small_gate(rng: random.Random, target: int, lines: list[int]) -> Gate:
+    m = rng.randint(0, min(2, len(lines)))
+    return mct([(x, rng.random() < 0.5) for x in rng.sample(lines, m)], target)
+
+
+def _few_targets(rng: random.Random) -> Circuit:
+    """Up to 60 gates of at most 2 controls on at most 3 targets: many moves."""
+    n = rng.randint(2, 8)
+    targets = rng.sample(range(n), min(n, 3))
+    gates = []
+    for _ in range(rng.randint(0, 60)):
+        t = rng.choice(targets)
+        gates.append(_small_gate(rng, t, [x for x in range(n) if x != t]))
+    return Circuit(n, tuple(gates))
+
+
+def _lookahead_probe(rng: random.Random) -> Circuit:
+    """A gate, MOVE_LOOKAHEAD or MOVE_LOOKAHEAD + 1 gates on other targets
+    (most of them commuting with it), then gates on its target."""
+    n = rng.randint(3, 8)
+    t = rng.randrange(n)
+    others = [x for x in range(n) if x != t]
+    free = [x for x in others if rng.random() < 0.5]  # lines the later t-gates use
+    middle = []
+    for _ in range(MOVE_LOOKAHEAD + rng.randint(0, 1)):
+        target = rng.choice([x for x in others if x not in free] or others)
+        lines = [x for x in range(n) if x != target and (x != t or rng.random() < 0.05)]
+        middle.append(_small_gate(rng, target, lines))
+    tail = [_small_gate(rng, t, free) for _ in range(rng.randint(1, 3))]
+    return Circuit(n, (_small_gate(rng, t, free),) + tuple(middle) + tuple(tail))
+
+
+def test_cluster_matches_pairwise_commutes():
+    # the running mask of skipped targets decides exactly what testing the
+    # candidate against every skipped gate decides
+    rng = random.Random(17)
+    moved = probes_joined = 0
+    for k in range(2400):
+        if k % 3 == 0:
+            c = random_circuit(rng, max_width=8, max_gates=60)
+        elif k % 3 == 1:
+            c = _few_targets(rng)
+        else:
+            c = _lookahead_probe(rng)
+        want_gates, want_runs = cluster_by_pairwise_commutes(c)
+        rearranged, ws = cluster_common_targets(c)
+        assert rearranged.gates == want_gates, k
+        assert [w.gates for w in ws] == want_runs, k
+        assert [w.target for w in ws] == [run[0].target for run in want_runs], k
+        assert (rearranged is c) == (want_gates == c.gates), k
+        moved += want_gates != c.gates
+        probes_joined += k % 3 == 2 and len(want_runs[0]) > 1
+    assert moved > 600 and probes_joined > 100, (moved, probes_joined)
 
 
 def test_build_kmap_xor_of_cubes():
@@ -363,7 +431,43 @@ def test_ctr_optimize_cancels_repeated_terms():
 
 def test_ctr_optimize_keeps_minimal_window():
     c = Circuit(3).cx(0, 2).cx(1, 2)
-    assert ctr_optimize(c).gates == c.gates
+    assert cluster_common_targets(c)[0] is c
+    assert ctr_optimize(c) is c  # nothing moved or improved: the input itself
+
+
+def test_ctr_optimize_returns_the_rearranged_circuit():
+    # a gate moved but no window got cheaper: the rearranged circuit comes back
+    c = Circuit(4).cx(0, 2).x(3).cx(1, 2)
+    rearranged = cluster_common_targets(c)[0]
+    assert rearranged.gates != c.gates
+    assert ctr_optimize(c) == rearranged
+
+
+def test_ctr_memo_matches_a_fresh_memo():
+    rng = random.Random(21)
+    circuits = [random_circuit(rng, max_width=6, max_gates=20) for _ in range(300)]
+    want = [ctr_optimize(c) for c in circuits]
+    memo: dict = {}
+    assert [ctr_optimize(c, memo) for c in circuits] == want
+    windows = len(memo)
+    # a second round decides every window from the memo alone
+    assert [ctr_optimize(c, memo) for c in circuits] == want
+    assert len(memo) == windows
+    assert any(new is not None for new in memo.values())
+    assert any(new is None for new in memo.values())
+
+
+def test_ctr_memo_keys_on_width():
+    # a 4-control gate costs 29 at n = 5 and 56 at n = 6: this window is
+    # resynthesized at width 5 and kept as it is at width 6
+    window = (Gate(0b0110, 0b0001, 4), Gate(0b1000, 0b0111, 4))
+    c5, c6 = Circuit(5, window), Circuit(6, window)
+    fresh5 = ctr_optimize(c5)
+    assert circuit_cost(fresh5) < circuit_cost(c5) and ctr_optimize(c6) is c6
+    for order in ((c5, c6), (c6, c5)):
+        memo: dict = {}
+        for c in order:
+            assert ctr_optimize(c, memo) == (fresh5 if c is c5 else c6)
 
 
 def test_ctr_optimize_never_worse():

@@ -39,6 +39,13 @@ def test_parse_crlf():
     assert parse_circuit(".v a\r\nBEGIN\r\nt1 a\r\nEND\r\n").gates == (mct([], 0),)
 
 
+def test_parse_byte_order_mark():
+    # some Windows editors start a UTF-8 file with U+FEFF; one is ignored
+    assert parse_circuit("\ufeff" + EX1) == parse_circuit(EX1)
+    with pytest.raises(ParseError, match="line 1"):
+        parse_circuit("\ufeff\ufeff" + EX1)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -6,6 +6,7 @@ import pytest
 
 from revopt.core import Circuit, mct, simulate
 from revopt.cost import circuit_cost
+from revopt import pipeline
 from revopt.io import write_circuit
 from revopt.pipeline import (
     OptimizeConfig,
@@ -33,12 +34,17 @@ def test_optimize_not_sandwich_then_ctr():
     assert report.equivalence_checked
 
 
-def test_optimize_already_minimal():
+def test_optimize_already_minimal(monkeypatch):
+    priced = []
+    monkeypatch.setattr(pipeline, "circuit_cost", lambda c: priced.append(c) or circuit_cost(c))
     c = Circuit(2).x(0)
     out, report = optimize(c)
-    assert out.gates == c.gates
+    assert out is c
     assert report.iterations_run == 1
     assert report.cost_before == report.cost_after == 1
+    # every pass returned its input, so only the input itself was priced
+    assert len(report.passes) == 4 and not any(p.committed for p in report.passes)
+    assert priced == [c]
 
 
 def test_optimize_example_pair():

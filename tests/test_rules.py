@@ -24,7 +24,8 @@ def test_try_delete():
     assert delete_sweep(c, 0).gates == ()
 
     c = Circuit(2).x(0).x(1)
-    assert delete_sweep(c, 0).gates == c.gates
+    assert delete_sweep(c, 0) is c  # nothing cancelled: the input itself
+    assert delete_sweep(c, MOVE_LOOKAHEAD) is c
 
 
 def test_try_move():
@@ -118,7 +119,9 @@ def test_gpr_sweep_matches_candidate_reference():
     for _ in range(3000):
         c = random_circuit(rng, max_width=5, max_gates=8)
         want, kept = gpr_sweep_by_candidates(c)
-        assert gpr_sweep(c) == want
+        out = gpr_sweep(c)
+        assert out == want
+        assert (out is c) == (not kept)
         kept_at["first"] += 0 in kept
         kept_at["last"] += len(c.gates) - 2 in kept
     assert min(kept_at.values()) > 20, kept_at
@@ -228,4 +231,5 @@ def test_sliding_deletion():
         c = Circuit(3, (g, h, g))
         out = delete_sweep(c, MOVE_LOOKAHEAD)
         assert (out.gates == (h,)) == commutes(g, h), (g, h)
+        assert (out is c) == (len(out.gates) == 3), (g, h)
         assert simulate(out) == simulate(c), (g, h)
